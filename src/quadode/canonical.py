@@ -9,6 +9,17 @@ with delta = sqrt((1 - rho2)**2 - 4*rho1).  Degenerate situations (initial
 data on the y1 = 0 line, coincident ratio fixed points u(0) = u+/-, and the
 delta = 0 logarithmic case) are classified once at solve time and evaluated
 by their own formulas.
+
+Besides the pole of y1, the movable singularities are the zeros of the ratio
+denominator.  They sit where the continued logarithm of s = 1 - y1(0) t
+reaches a target lam_k = -(log(dm/dp) + 2 pi i k)/delta, with
+dm = u(0) - u-, dp = u(0) - u+: a lattice affine in k.  One enumerator,
+``denominator_log_targets``, lists the targets near the log image of a path
+given by waypoints, splitting boxes until each holds few lattice indices; the
+real flow (``singular_times``, a straight path) and the lifted flow (in
+``extensions``, the warped-time walk) differ only in the path they pass and
+in how a target becomes a time.  ``real_times`` filters, sorts and merges the
+candidate times of both.
 """
 
 from __future__ import annotations
@@ -17,16 +28,24 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import SingularPointError
 from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, ensure_finite
 
 _TWO_PI = 2.0 * math.pi
 
-# Movable singular times may accumulate (oscillatory powers); enumeration of
-# denominator zeros is capped at this many branch indices on each side.
-_MAX_BRANCH_INDEX = 64
+# A candidate time counts as real when its imaginary part is at most this
+# fraction of 1 + |t|; real times closer than 1e-12 * (1 + |t|) are one time.
+_IMAG_TOL = 1e-9
+_MERGE_TOL = 1e-12
+
+# Log targets beyond this real part would overflow exp; no reachable |s| is
+# that large.
+_MAX_LOG_REAL = 700.0
+
+# A box of the log plane holding more branch indices than this is split.
+_SPLIT_INDICES = 16
 
 
 class CanonicalParams(NamedTuple):
@@ -187,60 +206,123 @@ def eval_canonical(
     return eval_canonical_general(sol, t, s, log_s, tol)
 
 
-def _real_candidate(tc: complex, t_max: float, imag_tol: float) -> float | None:
-    if abs(tc.imag) > imag_tol * (1.0 + abs(tc)):
-        return None
-    tr = tc.real
-    if 1e-300 < tr <= t_max:
-        return tr
-    return None
+def denominator_log_targets(
+    sol: CanonicalSolution,
+    curve: Callable[[float], complex],
+    taus: Sequence[float],
+    logs: Sequence[complex],
+    bulge: float,
+    re_floor: float,
+) -> list[complex]:
+    """Values of the continued logarithm of s = curve(tau) at which the ratio
+    denominator vanishes, near the path through the waypoints ``taus``.
 
+    ``logs[j]`` is the continued logarithm of curve(taus[j]).  Between two
+    waypoints the logarithm is taken to stay in the box its end values span,
+    widened by ``bulge`` times their distance (0 for a straight path cut where
+    |s| is least, whose pieces have monotone |s| and arg s) and by the
+    realness tolerance of a candidate time, carried into the log plane (at
+    most 1: where it would be more, |s| is within that tolerance of the pole).
+    Boxes are floored at Re = ``re_floor``, where a caller cuts out a pole's
+    band, and capped at Re = 700, beyond which exp overflows.
 
-def _denominator_zero_times(sol: CanonicalSolution, t_max: float, imag_tol: float) -> list[float]:
-    """Real zeros of the ratio denominator, by exact inversion.
-
-    The denominator vanishes exactly when the continued logarithm L(t) of
-    1 - y1(0)*t equals one of countably many target values; for real t the
-    continued value is principal, so a target is admissible iff its imaginary
-    part lies in (-pi, pi].  Each admissible target yields the candidate
-    t = (1 - exp(target))/y1(0), kept when real and in range.  Targets are
-    enumerated over a capped branch-index window, so at most the earliest
-    ~2*_MAX_BRANCH_INDEX zeros are reported (zeros can accumulate at the
-    y1 pole when delta has an imaginary part).
+    In the generic case the targets lam_k = -(log(dm/dp) + 2*pi*i*k)/delta are
+    affine in the branch index k, so each side of a box bounds k directly.  A
+    box holding more than _SPLIT_INDICES indices is split, at its middle
+    waypoint or at the curve's midpoint, until its slack outweighs its extent;
+    so the work follows the number of targets near the path, not the density
+    |delta| of the lattice.  The delta = 0 case has the single target -1/g;
+    the other cases have none.
     """
-    out: list[float] = []
-    slack = 1e-9
-    # |1 - y1(0)*t| <= 1 + |y1(0)|*t_max for admissible t, so targets with a
-    # larger real part cannot yield in-range times (and would overflow exp)
-    re_bound = math.log(1.0 + abs(sol.y10) * t_max) + 1.0
-
-    def _candidate(lam: complex) -> float | None:
-        if not (-math.pi - slack < lam.imag <= math.pi + slack):
-            return None
-        if lam.real > re_bound:
-            return None
-        tc = (1.0 - cmath.exp(lam)) / sol.y10
-        return _real_candidate(tc, t_max, imag_tol)
-
     if sol.case is SolutionCase.DELTA_ZERO:
         g = sol.u0 - sol.u_bar
-        if abs(g) == 0.0:
-            return out
-        tr = _candidate(-1.0 / g)
-        if tr is not None:
-            out.append(tr)
-        return out
-    if sol.case is not SolutionCase.GENERIC:
-        return out
-    dm = sol.u0 - sol.u_minus
-    dp = sol.u0 - sol.u_plus
-    if abs(dm) == 0.0 or abs(dp) == 0.0:
-        return out
-    log_w = cmath.log(dm / dp)
-    for k in range(-_MAX_BRANCH_INDEX, _MAX_BRANCH_INDEX + 1):
-        tr = _candidate(-(log_w + _TWO_PI * 1j * k) / sol.delta)
-        if tr is not None:
-            out.append(tr)
+        if g == 0:
+            return []
+        a, b = -1.0 / g, 0j
+    elif sol.case is SolutionCase.GENERIC:
+        dm = sol.u0 - sol.u_minus
+        dp = sol.u0 - sol.u_plus
+        if dm == 0 or dp == 0:
+            return []
+        log_w = cmath.log(dm / dp)
+        a = -log_w / sol.delta
+        b = -_TWO_PI * 1j / sol.delta
+    else:
+        return []
+
+    def slack(t0: float, l0: complex, t1: float, l1: complex) -> float:
+        # A time within _IMAG_TOL*(1 + t) of the real axis moves s by up to
+        # |ds/dt| times that, and log s by that over |s|; on a chord,
+        # |ds/dt| / min|s| = |s1 - s0| / (min(|s0|, |s1|) * (t1 - t0)).
+        d = l1 - l0 if l1.real >= l0.real else l0 - l1
+        near = 1.0
+        if d.real <= _MAX_LOG_REAL:
+            near = min(near, 2.0 * _IMAG_TOL * (1.0 + abs(t1)) * abs(cmath.exp(d) - 1.0) / (t1 - t0))
+        return bulge * abs(d) + near + _IMAG_TOL
+
+    def indices(box: tuple[float, float, float, float]) -> range:
+        k_lo, k_hi = -math.inf, math.inf
+        for a_c, b_c, lo, hi in ((a.real, b.real, box[0], box[1]), (a.imag, b.imag, box[2], box[3])):
+            if b_c == 0.0:
+                if not lo <= a_c <= hi:
+                    return range(0)
+            else:
+                ends = ((lo - a_c) / b_c, (hi - a_c) / b_c)
+                k_lo, k_hi = max(k_lo, min(ends)), min(k_hi, max(ends))
+        if b == 0:
+            return range(1)
+        return range(math.ceil(k_lo), math.floor(k_hi) + 1) if k_lo <= k_hi else range(0)
+
+    slacks = [slack(*c) for c in zip(taus, logs, taus[1:], logs[1:])]
+    stack = [(list(taus), list(logs), slacks)] if slacks else []
+    found: set[int] = set()
+    while stack:
+        node_taus, node_logs, node_slacks = stack.pop()
+        pad = max(node_slacks)
+        re = [lam.real for lam in node_logs]
+        im = [lam.imag for lam in node_logs]
+        box = (
+            max(min(re) - pad, re_floor),
+            min(max(re) + pad, _MAX_LOG_REAL),
+            min(im) - pad,
+            max(im) + pad,
+        )
+        ks = indices(box)
+        extent = max(max(re) - min(re), max(im) - min(im))
+        if len(ks) <= _SPLIT_INDICES or extent <= pad - bulge * extent:
+            # few indices, or a box that splitting would not shrink
+            found.update(ks)
+        elif len(node_taus) > 2:
+            mid = len(node_taus) // 2
+            stack.append((node_taus[: mid + 1], node_logs[: mid + 1], node_slacks[:mid]))
+            stack.append((node_taus[mid:], node_logs[mid:], node_slacks[mid:]))
+        else:
+            (t0, t1), (l0, l1) = node_taus, node_logs
+            tm = 0.5 * (t0 + t1)
+            sm = curve(tm)
+            if not t0 < tm < t1 or sm == 0:
+                found.update(ks)
+                continue
+            lm = l0 + cmath.log(sm / cmath.exp(l0))
+            stack.append(([t0, tm], [l0, lm], [slack(t0, l0, tm, lm)]))
+            stack.append(([tm, t1], [lm, l1], [slack(tm, lm, t1, l1)]))
+    if b == 0:
+        return [a] if found else []
+    return [-(log_w + _TWO_PI * 1j * k) / sol.delta for k in found]
+
+
+def real_times(candidates: Iterable[complex], t_max: float) -> list[float]:
+    """The candidate times that are real and lie in (0, t_max], sorted, with
+    coincident times merged."""
+    times = sorted(
+        tc.real
+        for tc in candidates
+        if abs(tc.imag) <= _IMAG_TOL * (1.0 + abs(tc)) and 1e-300 < tc.real <= t_max
+    )
+    out: list[float] = []
+    for t in times:
+        if not out or t - out[-1] > _MERGE_TOL * (1.0 + abs(t)):
+            out.append(t)
     return out
 
 
@@ -252,26 +334,41 @@ def singular_times(
     """Sorted real singular times of the solution in (0, t_max].
 
     Reports the pole of y1 (of y2 on the y1 = 0 line) when it falls on the
-    real axis, and the real zeros of the ratio denominator (or of its
-    delta = 0 analogue).
+    real axis, and every real zero of the ratio denominator (or of its
+    delta = 0 analogue), except zeros inside a reported pole's sing_tol band
+    (|1 - y1(0) t| < sing_tol/e), which are reported as the pole.
+
+    For real t the logarithm of s = 1 - y1(0)*t is principal.  The segment
+    s(t), t in [0, t_max], is cut where |s| is least and, around a reported
+    pole, where it enters the band; each piece has monotone |s| and arg s, so
+    its log image lies in the box of its end values.  A target lam found
+    there gives the candidate time (1 - exp(lam))/y1(0).
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
-    imag_tol = 1e-9
-    candidates: list[float] = []
-
     pole_base = sol.y20 if sol.case is SolutionCase.Y1_ZERO else sol.y10
-    if abs(pole_base) > 0.0:
-        tc = 1.0 / pole_base
-        tr = _real_candidate(tc, t_max, imag_tol)
-        if tr is not None:
-            candidates.append(tr)
+    candidates = [1.0 / pole_base] if pole_base != 0 else []
+    if sol.case not in (SolutionCase.GENERIC, SolutionCase.DELTA_ZERO):
+        return real_times(candidates, t_max)
+    y1 = sol.y10
 
-    candidates.extend(_denominator_zero_times(sol, t_max, imag_tol))
+    def line(t: float) -> complex:
+        return 1.0 - y1 * t
 
-    candidates.sort()
-    out: list[float] = []
-    for t in candidates:
-        if not out or abs(t - out[-1]) > 1e-12 * (1.0 + abs(t)):
-            out.append(t)
-    return out
+    t_foot = y1.real / abs(y1) ** 2  # where |s| is least; the pole if y1(0) is real
+    pieces = [(0.0, t_max)]
+    re_floor = -math.inf
+    gap = (tol.sing_tol / math.e) ** 2 - abs(line(t_foot)) ** 2
+    if gap > 0 and real_times(candidates, t_max):
+        half = math.sqrt(gap) / abs(y1)
+        pieces = [(0.0, min(t_foot - half, t_max)), (t_foot + half, t_max)]
+        re_floor = math.log(tol.sing_tol) - 1.0
+    for lo, hi in pieces:
+        if not lo < hi:
+            continue
+        taus = [lo, t_foot, hi] if lo < t_foot < hi else [lo, hi]
+        logs = [cmath.log(line(t)) for t in taus]
+        for lam in denominator_log_targets(sol, line, taus, logs, 0.0, re_floor):
+            if abs(lam.imag) <= math.pi + _IMAG_TOL:  # principal branch only
+                candidates.append((1.0 - cmath.exp(lam)) / y1)
+    return real_times(candidates, t_max)

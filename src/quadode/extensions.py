@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from .canonical import (
     CanonicalSolution,
     SolutionCase,
+    denominator_log_targets,
     eval_canonical_general,
+    real_times,
     singular_times,
 )
 from .errors import InvalidScalingError, SingularPointError
@@ -27,12 +29,12 @@ from .inversion import Decomposition, decompose
 from .numerics import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
-    _log_increment,
     approx_rational,
     continued_log,
     ensure_finite,
+    log_increment,
 )
-from .solver import _prepare
+from .solver import prepare
 from .transform import LinearChange, Pair, QuadraticSystem, push_state
 
 _TWO_PI = 2.0 * math.pi
@@ -41,6 +43,10 @@ _TWO_PI = 2.0 * math.pi
 # which (scaled by horizon) the lift degenerates to the unlifted flow.
 _SMALL_WARP = 1e-6
 _ETA_NEGLIGIBLE = 1e-8
+
+# Recovered delta is accurate to ~1e-11 (decompose); isochrony accepts a
+# delta within this of a real rational, in its imaginary and real parts alike.
+_RATIONAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -188,8 +194,8 @@ def _needs_split(a: complex, b: complex) -> bool:
     return ratio.real <= 0.0 or abs(ratio.imag) > ratio.real or abs(ratio - 1.0) > 0.75
 
 
-def _warp_path(y_ref: complex, eta: complex, t: float) -> list[complex]:
-    """Waypoints of tau |-> 1 - y_ref * warp(tau) for tau in [0, t].
+def _warp_path(y_ref: complex, eta: complex, t: float) -> tuple[list[float], list[complex]]:
+    """Parameters tau in [0, t] and waypoints 1 - y_ref * warp(tau).
 
     Sampling is refined adaptively with midpoints of the true curve wherever
     consecutive waypoints turn too far around the origin, so continuation
@@ -211,7 +217,7 @@ def _warp_path(y_ref: complex, eta: complex, t: float) -> list[complex]:
             break
         taus = new_taus
         points = [1.0 - y_ref * time_warp(eta, tau) for tau in taus]
-    return points
+    return taus, points
 
 
 def _eval_lifted_state(
@@ -224,7 +230,7 @@ def _eval_lifted_state(
 ) -> Pair:
     tau = time_warp(eta, t)
     if sol.case in (SolutionCase.GENERIC, SolutionCase.DELTA_ZERO):
-        path = _warp_path(sol.y10, eta, t)
+        path = _warp_path(sol.y10, eta, t)[1]
         log_s = continued_log(path, tol.sing_tol)
         s = path[-1]
     else:
@@ -252,7 +258,7 @@ def solve_lifted(
     """
     z0 = (ensure_finite(z0[0], "z1(0)"), ensure_finite(z0[1], "z2(0)"))
     x0 = (z0[0] - ls.zbar[0], z0[1] - ls.zbar[1])
-    x0_prepared, dec, change, canonical = _prepare(ls.base, x0, branch, tol)
+    x0_prepared, dec, change, canonical = prepare(ls.base, x0, branch, tol)
     if t_max is None:
         t_max = 10.0 / (1.0 + abs(ls.eta) + ls.base.max_abs() * max(abs(x0[0]), abs(x0[1])))
     sing = lifted_singular_times(canonical, ls.eta, t_max, tol)
@@ -276,69 +282,14 @@ def eval_lifted(
     )
 
 
-def _real_warp_times(value: complex, eta: complex, t_max: float, imag_tol: float) -> list[float]:
-    """Real t in (0, t_max] with exp(eta*t) equal to ``value``."""
+def _warp_times(value: complex, eta: complex, t_max: float) -> list[complex]:
+    """Times t with exp(eta*t) equal to ``value``, on every branch that can
+    give a real t in (0, t_max]."""
     if value == 0:
         return []
     base_log = cmath.log(value)
     bound = int(math.ceil((abs(eta) * t_max + abs(base_log)) / _TWO_PI)) + 1
-    out = []
-    for m in range(-bound, bound + 1):
-        tc = (base_log + _TWO_PI * 1j * m) / eta
-        if abs(tc.imag) <= imag_tol * (1.0 + abs(tc)) and 1e-300 < tc.real <= t_max:
-            out.append(tc.real)
-    return out
-
-
-def _lifted_pole_times(y_ref: complex, eta: complex, t_max: float, imag_tol: float) -> list[float]:
-    if y_ref == 0:
-        return []
-    return _real_warp_times(1.0 + eta / y_ref, eta, t_max, imag_tol)
-
-
-def _max_log_extent(y_ref: complex, eta: complex, t_max: float, sing_tol: float) -> float:
-    """Largest |continued log of 1 - y_ref*warp(tau)| over tau in [0, t_max].
-
-    Bounds the target enumeration; the maximum is taken over the whole walk
-    because the continued logarithm can peak mid-path and return.
-    """
-    path = _warp_path(y_ref, eta, t_max)
-    total = 0.0 + 0.0j
-    largest = 0.0
-    for a, b in zip(path, path[1:]):
-        try:
-            total += _log_increment(a, b, sing_tol)
-        except SingularPointError:
-            break  # a pole truncates the reachable stretch
-        largest = max(largest, abs(total))
-    return max(largest, 5.0)
-
-
-def _lifted_log_targets(sol: CanonicalSolution, log_bound: float) -> list[complex]:
-    """Continued-log values at which the ratio denominator vanishes."""
-    slack = 1.0
-    targets: list[complex] = []
-    if sol.case is SolutionCase.DELTA_ZERO:
-        g = sol.u0 - sol.u_bar
-        if abs(g) > 0.0:
-            lam = -1.0 / g
-            if abs(lam) <= log_bound + slack:
-                targets.append(lam)
-        return targets
-    if sol.case is not SolutionCase.GENERIC:
-        return targets
-    dm = sol.u0 - sol.u_minus
-    dp = sol.u0 - sol.u_plus
-    if abs(dm) == 0.0 or abs(dp) == 0.0:
-        return targets
-    log_w = cmath.log(dm / dp)
-    k_bound = int(math.ceil((abs(sol.delta) * (log_bound + slack) + abs(log_w)) / _TWO_PI)) + 1
-    k_bound = min(k_bound, 256)
-    for k in range(-k_bound, k_bound + 1):
-        lam = -(log_w + _TWO_PI * 1j * k) / sol.delta
-        if abs(lam) <= log_bound + slack:
-            targets.append(lam)
-    return targets
+    return [(base_log + _TWO_PI * 1j * m) / eta for m in range(-bound, bound + 1)]
 
 
 def lifted_singular_times(
@@ -352,41 +303,52 @@ def lifted_singular_times(
     Poles are the preimages, under the warped time, of the base solution's
     singularities: zeros of 1 - y1(0)*warp(t) (of 1 - y2(0)*warp(t) on the
     y1 = 0 line) and times where the continued logarithm along the warped
-    path reaches a denominator-vanishing target.  Candidates come from exact
-    inversion of the warp; log targets are confirmed by walking the path.
+    path reaches a denominator-vanishing target.  As for the unlifted flow,
+    every such zero is reported except zeros inside the pole's sing_tol band
+    (|1 - y1(0) warp(t)| < sing_tol/e), which are reported as the pole.
+    Targets are enumerated near the walk along the warped path, which stops
+    at the first pole and is then followed into the pole's band; their
+    candidate times come from exact inversion of the warp, and each candidate
+    is confirmed by walking the path.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     if abs(eta) * t_max <= _ETA_NEGLIGIBLE:
         return singular_times(sol, t_max, tol)
-    imag_tol = 1e-9
-    candidates: list[float] = []
-
     pole_base = sol.y20 if sol.case is SolutionCase.Y1_ZERO else sol.y10
-    candidates.extend(_lifted_pole_times(pole_base, eta, t_max, imag_tol))
+    candidates = _warp_times(1.0 + eta / pole_base, eta, t_max) if pole_base != 0 else []
 
     if sol.case in (SolutionCase.GENERIC, SolutionCase.DELTA_ZERO):
-        log_bound = _max_log_extent(sol.y10, eta, t_max, tol.sing_tol)
-        for lam in _lifted_log_targets(sol, log_bound):
-            if lam.real > 700.0:  # exp would overflow; no reachable |s| is that large
-                continue
-            s_target = cmath.exp(lam)
-            warp_value = 1.0 + eta * (1.0 - s_target) / sol.y10
-            for tc in _real_warp_times(warp_value, eta, t_max, imag_tol):
+
+        def curve(tau: float) -> complex:
+            return 1.0 - sol.y10 * time_warp(eta, tau)
+
+        walk_taus, path = _warp_path(sol.y10, eta, t_max)
+        logs = [0.0 + 0.0j]
+        for a, b in zip(path, path[1:]):
+            try:
+                logs.append(logs[-1] + log_increment(a, b, tol.sing_tol))
+            except SingularPointError:
+                break
+        taus = walk_taus[: len(logs)]
+        poles = real_times(candidates, t_max)
+        band = tol.sing_tol / math.e
+        if len(logs) < len(path) and poles and poles[0] <= walk_taus[len(logs)]:
+            # the walk stopped at this pole; follow the curve into its band
+            t_band = poles[0] - band / abs(sol.y10 * cmath.exp(eta * poles[0]))
+            if t_band > taus[-1]:
+                logs.append(logs[-1] + cmath.log(curve(t_band) / path[len(taus) - 1]))
+                taus.append(t_band)
+        for lam in denominator_log_targets(sol, curve, taus, logs, 1.0, math.log(band)):
+            warp_value = 1.0 + eta * (1.0 - cmath.exp(lam)) / sol.y10
+            for tc in real_times(_warp_times(warp_value, eta, t_max), t_max):
                 try:
-                    path = _warp_path(sol.y10, eta, tc)
-                    log_val = continued_log(path, tol.sing_tol)
+                    log_val = continued_log(_warp_path(sol.y10, eta, tc)[1], tol.sing_tol)
                 except SingularPointError:
                     continue  # an earlier pole dominates this candidate
                 if abs(log_val - lam) <= 1e-6 * (1.0 + abs(lam)):
                     candidates.append(tc)
-
-    candidates.sort()
-    out: list[float] = []
-    for t in candidates:
-        if not out or abs(t - out[-1]) > 1e-12 * (1.0 + abs(t)):
-            out.append(t)
-    return out
+    return real_times(candidates, t_max)
 
 
 def isochrony_check(
@@ -405,8 +367,8 @@ def isochrony_check(
         raise ValueError("omega must be nonzero")
     delta = decompose(sys, tol).plus.delta
     rational = None
-    if abs(delta.imag) <= tol.eq_tol * max(1.0, abs(delta)):
-        rational = approx_rational(delta.real, max_den, tol=1e-9)
+    if abs(delta.imag) <= _RATIONAL_TOL * max(1.0, abs(delta)):
+        rational = approx_rational(delta.real, max_den, tol=_RATIONAL_TOL)
     isochronous = rational is not None
     period = _TWO_PI * rational[1] / abs(omega) if isochronous else None
     return IsochronyReport(

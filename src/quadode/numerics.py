@@ -1,4 +1,4 @@
-"""Complex scalar utilities: tolerance policy, branch-continuous powers,
+"""Complex scalar utilities: tolerance policy, continued logarithms,
 quadratic roots, and rational recognition.
 
 All routines work on plain ``complex`` values and are pure functions.
@@ -59,7 +59,7 @@ def _segment_clearance(a: complex, b: complex) -> float:
     return abs(a + t * d)
 
 
-def _log_increment(a: complex, b: complex, sing_tol: float) -> complex:
+def log_increment(a: complex, b: complex, sing_tol: float) -> complex:
     # A chord avoiding 0 subtends an angle of modulus < pi at the origin, so
     # the principal log of the ratio is the exact continuation increment.
     scale = max(abs(a), abs(b))
@@ -88,33 +88,9 @@ def continued_log(path: Sequence[complex], sing_tol: float = DEFAULT_TOLERANCES.
     prev = start
     for raw in path[1:]:
         point = complex(raw)
-        total += _log_increment(prev, point, sing_tol)
+        total += log_increment(prev, point, sing_tol)
         prev = point
     return total
-
-
-def cpow_continuous(
-    base: complex,
-    exponent: complex,
-    path: Sequence[complex] | None = None,
-    sing_tol: float = DEFAULT_TOLERANCES.sing_tol,
-) -> complex:
-    """Branch-continuous power ``base ** exponent``.
-
-    The logarithm of the base is continued along ``path`` starting from the
-    principal value at ``path[0]``.  When ``path`` is omitted it defaults to
-    the straight segment from 1 to ``base`` (the convention used for all
-    trajectory powers, whose base paths start at 1 at the initial time).
-    """
-    base = ensure_finite(base, "base")
-    exponent = ensure_finite(exponent, "exponent")
-    if abs(base) <= sing_tol * max(1.0, abs(complex(path[0])) if path else 1.0):
-        raise SingularPointError("power base is at or near 0", factor="power base")
-    if path is None:
-        path = (1.0 + 0.0j, base)
-    elif abs(complex(path[-1]) - base) > 1e-12 * max(1.0, abs(base)):
-        raise ValueError("path must end at the base value")
-    return cmath.exp(complex(exponent) * continued_log(path, sing_tol))
 
 
 class QuadraticRoots(NamedTuple):

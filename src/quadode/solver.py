@@ -36,7 +36,9 @@ def default_horizon(sys: QuadraticSystem, x0: Pair) -> float:
     return 10.0 / (1.0 + sys.max_abs() * max(abs(x0[0]), abs(x0[1])))
 
 
-def _prepare(sys, x0, branch, tol):
+def prepare(sys, x0, branch, tol):
+    """Checked x0, the branch's decomposition, its linear change and the
+    solved canonical problem: the common start of plain and lifted solves."""
     x0 = (ensure_finite(x0[0], "x1(0)"), ensure_finite(x0[1], "x2(0)"))
     dec = decompose(sys, tol).branch(branch)
     change = linear_change_from_b(dec.b, tol)
@@ -57,7 +59,7 @@ def solve_ivp(
     case, not an error.  Singular times are reported up to ``t_max``
     (default: ``default_horizon``).
     """
-    x0, dec, change, canonical = _prepare(sys, x0, branch, tol)
+    x0, dec, change, canonical = prepare(sys, x0, branch, tol)
     horizon = default_horizon(sys, x0) if t_max is None else t_max
     sing = singular_times(canonical, horizon, tol)
     return ClosedFormTrajectory(

@@ -1,13 +1,17 @@
 """Canonical-system closed form: classification, evaluation, singular times."""
 
+import cmath
 import dataclasses
+import math
 import random
+import time
 
 import pytest
 
 from quadode import (
     CanonicalParams,
     CanonicalState,
+    DEFAULT_TOLERANCES,
     SingularPointError,
     SolutionCase,
     canonical_rhs,
@@ -233,6 +237,122 @@ class TestSingularTimes:
         assert times[-1] <= 0.375 + 1e-9  # the y1 pole bounds the cluster
         num = integrate(as_rhs(p), (8 / 3, -2), 2.0)
         assert abs(num.last_time - times[0]) <= 1e-6 * times[0]
+
+    def test_imaginary_exponent_zeros_reach_the_pole_band(self):
+        # delta = 30i: with s = 1 - t the denominator vanishes where
+        # exp(30i x) = dm/dp for x = -log(1 - t), i.e. at
+        # x_k = (arg(dm/dp) + 2 pi k)/30, accumulating at the pole t = 1.
+        # Every zero must be reported down to the pole's sing_tol band.
+        rho2 = 0.5
+        sol = solve_canonical(
+            CanonicalParams(((1 - rho2) ** 2 + 900) / 4, rho2), CanonicalState(1, 0.3)
+        )
+        times = singular_times(sol, 2.0)
+        assert times[-1] == pytest.approx(1.0, rel=1e-15)
+        zeros = times[:-1]
+        u_plus, u_minus = (1 - rho2 + 30j) / 2, (1 - rho2 - 30j) / 2
+        theta = cmath.phase((0.3 - u_minus) / (0.3 - u_plus)) % (2 * math.pi)
+        expected = [(theta + 2 * math.pi * k) / 30 for k in range(len(zeros))]
+        got = [-math.log(1 - t) for t in zeros]
+        assert max(abs(g - e) for g, e in zip(got, expected)) <= 1e-5
+        sing_tol = DEFAULT_TOLERANCES.sing_tol
+        assert sing_tol / 3 <= 1 - zeros[-1] <= 3 * sing_tol
+
+    @pytest.mark.parametrize("delta", [1e6, 1e10])
+    def test_large_real_exponent_costs_no_scan_of_the_lattice(self, delta):
+        # delta is an even integer, so s**(-delta) is single-valued, and with
+        # dm/dp = 2 the denominator dm - dp*s**(-delta) vanishes where
+        # s = +-2**(-1/delta): once before the pole at t = 1, once after it.
+        # The log targets are spaced 2*pi/delta apart along Im, so a scan of
+        # the principal strip would visit ~delta branch indices.  u(0) is of
+        # order delta, so sing_tol is lowered to keep y1(0) = 1 off the
+        # y1 = 0 line.
+        tol = dataclasses.replace(DEFAULT_TOLERANCES, sing_tol=1e-12)
+        rho2 = 0.5
+        u_plus, u_minus = (1 - rho2 + delta) / 2, (1 - rho2 - delta) / 2
+        sol = solve_canonical(
+            CanonicalParams(((1 - rho2) ** 2 - delta**2) / 4, rho2),
+            CanonicalState(1, 2 * u_plus - u_minus),
+            tol,
+        )
+        start = time.perf_counter()
+        times = singular_times(sol, 2.5, tol)
+        assert time.perf_counter() - start < 1.0
+        shift = -math.expm1(-math.log(2) / delta)  # 1 - 2**(-1/delta)
+        assert times == pytest.approx([shift, 1.0, 2.0 - shift], rel=1e-5)
+
+    @pytest.mark.parametrize("y1", [1 + 0.3j, 1 + 1e-4j, 0.5 - 2j])
+    @pytest.mark.parametrize("delta", [1e10, 1e6, 1e3])
+    def test_placed_zero_is_found_for_large_exponents(self, y1, delta):
+        # choose u(0) so that the denominator vanishes at t0, where
+        # |s(t0)| = 1 keeps s(t0)**(-delta) finite for large delta;
+        # sing_tol is lowered as u(0) can be of order delta
+        tol = dataclasses.replace(DEFAULT_TOLERANCES, sing_tol=1e-12)
+        rho2 = 0.5
+        t0 = 2 * y1.real / abs(y1) ** 2
+        w = cmath.exp(-delta * cmath.log(1 - y1 * t0))  # dm/dp at the zero
+        u_plus, u_minus = (1 - rho2 + delta) / 2, (1 - rho2 - delta) / 2
+        u0 = (u_minus - w * u_plus) / (1 - w)
+        sol = solve_canonical(
+            CanonicalParams(((1 - rho2) ** 2 - delta**2) / 4, rho2),
+            CanonicalState(y1, y1 * u0),
+            tol,
+        )
+        assert sol.case is SolutionCase.GENERIC
+        start = time.perf_counter()
+        times = singular_times(sol, t0 + 1.0, tol)
+        assert time.perf_counter() - start < 1.0
+        # The targets lie 2*pi/delta apart on the line Re = 0, which the path
+        # also meets at t = 0; neighbours of t0, and targets next to lam = 0
+        # (times below 1e-8, real to within the absolute tolerance), can pass
+        # the realness test too.
+        away = [t for t in times if t > 1e-8]
+        assert min(abs(t - t0) for t in away) <= 1e-12 * t0
+        assert all(abs(t - t0) <= 1e-6 * t0 for t in away)
+
+    @pytest.mark.parametrize("y1", [1, 1 + 0.3j, 1 + 1e-4j, 1 - 1e-12j, -0.5])
+    @pytest.mark.parametrize("delta", [700.0, 300 + 40j, 30j, 0.4 + 25j])
+    def test_matches_a_scan_of_the_principal_strip(self, y1, delta):
+        # For real t the log of s = 1 - y1 t is principal, so scanning every
+        # branch index whose target has |Im| <= pi finds every real zero.
+        rho2 = 0.5
+        sol = solve_canonical(
+            CanonicalParams(((1 - rho2) ** 2 - delta**2) / 4, rho2),
+            CanonicalState(y1, 0.3 * y1),
+        )
+        t_max = 2.5
+        log_w = cmath.log((sol.u0 - sol.u_minus) / (sol.u0 - sol.u_plus))
+        pole = 1 / sol.y10
+        pole_real = abs(pole.imag) <= 1e-9 * (1 + abs(pole)) and 0 < pole.real <= t_max
+        floor = math.log(DEFAULT_TOLERANCES.sing_tol) - 1 if pole_real else -math.inf
+        radius = math.log(1 + abs(y1) * t_max) + abs(floor if pole_real else 0) + 4
+        k_max = int((radius + abs(log_w / sol.delta)) * abs(sol.delta) / (2 * math.pi)) + 2
+        expected = [pole.real] if pole_real else []
+        for k in range(-k_max, k_max + 1):
+            lam = -(log_w + 2j * math.pi * k) / sol.delta
+            if abs(lam.imag) > math.pi + 1e-9 or not floor <= lam.real <= 700:
+                continue
+            tc = (1 - cmath.exp(lam)) / sol.y10
+            if abs(tc.imag) <= 1e-9 * (1 + abs(tc)) and 0 < tc.real <= t_max:
+                expected.append(tc.real)
+        expected.sort()
+        assert singular_times(sol, t_max) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_zeros_by_an_unreported_pole_are_kept(self):
+        # With sing_tol = 1e-3 and y1(0) = 1 + 1e-4j the pole 1/y1(0) is off
+        # the real axis, so it is not reported; a zero placed at t = 1, where
+        # |s| = 1e-4 < sing_tol/e, must then be reported itself.
+        tol = dataclasses.replace(DEFAULT_TOLERANCES, sing_tol=1e-3)
+        rho2, delta, y1 = 0.5, 1.5, 1 + 1e-4j
+        w = cmath.exp(-delta * cmath.log(1 - y1))
+        u_plus, u_minus = (1 - rho2 + delta) / 2, (1 - rho2 - delta) / 2
+        u0 = (u_minus - w * u_plus) / (1 - w)
+        sol = solve_canonical(
+            CanonicalParams(((1 - rho2) ** 2 - delta**2) / 4, rho2), CanonicalState(y1, y1 * u0), tol
+        )
+        assert singular_times(sol, 2.0, tol) == pytest.approx([1.0], rel=1e-12)
+        with pytest.raises(SingularPointError):
+            eval_canonical(sol, 1.0, tol)
 
     def test_tiny_discriminant_above_band(self):
         # |delta| small but outside the coincident band produces huge log

@@ -2,27 +2,34 @@
 
 import math
 import random
+import time
 
 import pytest
 
 from quadode import (
+    CanonicalParams,
+    CanonicalState,
     InvalidScalingError,
     LiftedSystem,
     LiftParams,
     QuadraticSystem,
     ScalingParams,
+    ToleranceConfig,
     constraint_residuals,
     decompose,
     eval_lifted,
     eval_trajectory,
     first_singular_time,
+    forward_map,
     integrate,
     isochrony_check,
     lift,
+    lifted_singular_times,
     linear_change_from_b,
     normalize,
     periodicity_deviation,
     rescale,
+    solve_canonical,
     solve_ivp,
     solve_lifted,
     time_warp,
@@ -239,6 +246,28 @@ class TestSolveLifted:
         assert traj.t_singular
         assert abs(traj.t_singular[0] - numeric.last_time) <= 1e-5 * numeric.last_time
 
+    @pytest.mark.parametrize("delta", [1e6, 1e10])
+    def test_large_exponent_lifted_zeros(self, delta):
+        # With a real rate eta the warped path stays on the real s-axis, so a
+        # base zero at t_b moves to log(1 + eta*t_b)/eta.  With dm/dp = 2 and
+        # delta an even integer the base has a zero at t_b = 1 - 2**(-1/delta)
+        # and its pole at t_b = 1, where the walk stops.  The log targets are
+        # 2*pi/delta apart; few of them may be visited.
+        tol = ToleranceConfig(sing_tol=1e-12)  # u(0) is of order delta
+        rho2, eta = 0.5, -0.3
+        u_plus, u_minus = (1 - rho2 + delta) / 2, (1 - rho2 - delta) / 2
+        sol = solve_canonical(
+            CanonicalParams(((1 - rho2) ** 2 - delta**2) / 4, rho2),
+            CanonicalState(1, 2 * u_plus - u_minus),
+            tol,
+        )
+        start = time.perf_counter()
+        times = lifted_singular_times(sol, eta, 2.0, tol)
+        assert time.perf_counter() - start < 1.0
+        shift = -math.expm1(-math.log(2) / delta)
+        expected = [math.log1p(eta * t) / eta for t in (shift, 1.0)]
+        assert times == pytest.approx(expected, rel=1e-5)
+
     def test_close_branch_point_approach(self):
         # warp path sweeping within a few percent of the power's branch point:
         # adaptive path refinement must keep the continuation on track
@@ -285,6 +314,19 @@ class TestIsochrony:
     def test_complex_exponent_rejected(self):
         report = isochrony_check(EXAMPLE1, 1.0)
         assert not report.isochronous
+
+    def test_rational_exponent_with_complex_rho(self):
+        # delta = 2/3 built from complex rho and b: decompose recovers delta
+        # with an imaginary part of a few 1e-12, which must not hide the
+        # rational exponent
+        rho2 = -0.628 - 0.465j
+        rho = CanonicalParams(((1 - rho2) ** 2 - 4 / 9) / 4, rho2)
+        b = ((-0.602 + 0.171j, -0.37 - 0.535j), (0.382 + 0.907j, -0.408 + 0.411j))
+        report = isochrony_check(forward_map(rho, linear_change_from_b(b)), 1.0)
+        assert abs(report.delta.imag) > 1e-12
+        assert report.isochronous
+        assert report.rational == (2, 3)
+        assert report.period == pytest.approx(6 * math.pi, rel=1e-12)
 
     def test_omega_zero_invalid(self):
         with pytest.raises(ValueError):

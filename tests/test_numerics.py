@@ -1,4 +1,4 @@
-"""Scalar numerics: continuous powers, quadratic roots, rational recognition."""
+"""Scalar numerics: continued logarithms, quadratic roots, rational recognition."""
 
 import cmath
 import math
@@ -14,7 +14,6 @@ from quadode import (
     ToleranceConfig,
     approx_rational,
     continued_log,
-    cpow_continuous,
     solve_quadratic,
 )
 
@@ -27,26 +26,16 @@ def circle_path(windings: float, points_per_turn: int = 24) -> list[complex]:
     return [cmath.exp(2j * math.pi * windings * k / n) for k in range(n + 1)]
 
 
-class TestCpowContinuous:
-    def test_base_one_is_one(self):
-        assert cpow_continuous(1.0, 3.7 - 2.2j) == 1.0
-
-    def test_positive_real_base(self):
-        assert cpow_continuous(0.5, -1.0) == pytest.approx(2.0, rel=1e-15)
-
+class TestContinuedLog:
     @pytest.mark.parametrize("windings", [1, 2, -1])
     def test_winding_shifts_branch(self, windings):
         # Stepwise continuation around the unit circle must differ from the
-        # principal value by exp(2*pi*i*exponent*windings).
-        exponent = 0.3 + 0.7j
+        # principal value by 2*pi*i*windings.
         path = circle_path(windings)
-        base = path[-1]
-        continued = cpow_continuous(base, exponent, path=path)
-        principal = cmath.exp(exponent * cmath.log(base))
-        expected = principal * cmath.exp(2j * math.pi * exponent * windings)
-        assert abs(continued - expected) <= 1e-10 * abs(expected)
+        expected = cmath.log(path[-1]) + 2j * math.pi * windings
+        assert abs(continued_log(path) - expected) <= 1e-10
 
-    def test_continued_log_winding_number(self):
+    def test_winding_number(self):
         path = circle_path(3)
         value = continued_log(path)
         assert abs(value - 6j * math.pi * 1.0) <= 1e-9
@@ -56,10 +45,11 @@ class TestCpowContinuous:
         st.integers(min_value=-4, max_value=4),
     )
     @settings(max_examples=200)
-    def test_integer_exponent_matches_repeated_multiplication(self, base, k):
-        # the default path (segment from 1 to base) must stay clear of 0
+    def test_straight_path_powers_match_repeated_multiplication(self, base, k):
+        # the segment from 1 to base must stay clear of 0; along it the
+        # continued log is principal, so integer powers are exact products
         assume(abs(base.imag) > 1e-6 or base.real > 1e-6)
-        value = cpow_continuous(base, k)
+        value = cmath.exp(k * continued_log((1.0, base)))
         direct = 1.0 + 0.0j
         for _ in range(abs(k)):
             direct *= base
@@ -67,17 +57,13 @@ class TestCpowContinuous:
             direct = 1.0 / direct
         assert abs(value - direct) <= 1e-12 * max(1.0, abs(direct))
 
-    def test_base_near_zero_raises(self):
+    def test_start_at_zero_raises(self):
         with pytest.raises(SingularPointError):
-            cpow_continuous(0.0, 1.0)
+            continued_log((0.0, 1.0))
 
     def test_path_through_zero_raises(self):
         with pytest.raises(SingularPointError):
-            cpow_continuous(-1.0, 0.5, path=(1.0, -1.0))
-
-    def test_path_must_end_at_base(self):
-        with pytest.raises(ValueError):
-            cpow_continuous(2.0, 1.0, path=(1.0, 1.0 + 1.0j))
+            continued_log((1.0, -1.0))
 
 
 class TestSolveQuadratic:
