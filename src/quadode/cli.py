@@ -145,7 +145,7 @@ def _fmt(value: float) -> str:
 def _decomposition_doc(dec) -> dict:
     return {
         "branch": dec.branch,
-        "beta": _jc(dec.beta),
+        "beta": None if dec.beta is None else _jc(dec.beta),
         "b": [[_jc(v) for v in row] for row in dec.b],
         "rho1": _jc(dec.rho.rho1),
         "rho2": _jc(dec.rho.rho2),
@@ -188,13 +188,9 @@ def cmd_check(args) -> int:
         return 0
     diag = inv.diagnostics
     report["diagnostics"] = {
-        "alpha": [[_jc(v) for v in row] for row in diag.alpha] if diag.alpha else None,
-        "B110": _jc(diag.b110),
-        "B220": _jc(diag.b220),
-        "B221": _jc(diag.b221),
-        "C": [_jc(v) for v in diag.cubic],
-        "c3_residual": diag.c3_residual,
-        "b221_residual": diag.b221_residual,
+        "alpha": [[_jc(v) for v in row] for row in diag.alpha],
+        "line_residual": diag.line_residual,
+        "roundtrip_deviation": diag.roundtrip_deviation,
     }
     report["branches"] = [_decomposition_doc(d) for d in inv.branches]
     _emit(report)
@@ -311,7 +307,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _unit_disc(rng: random.Random) -> complex:
+def unit_disc(rng: random.Random) -> complex:
     while True:
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         if abs(z) <= 1.0:
@@ -321,9 +317,9 @@ def _unit_disc(rng: random.Random) -> complex:
 def sample_solvable_parameters(rng: random.Random):
     """Random decomposition data: rho in the unit bidisc, b entries in the
     unit disc conditioned on |det b| >= 0.1."""
-    rho = CanonicalParams(_unit_disc(rng), _unit_disc(rng))
+    rho = CanonicalParams(unit_disc(rng), unit_disc(rng))
     while True:
-        b = ((_unit_disc(rng), _unit_disc(rng)), (_unit_disc(rng), _unit_disc(rng)))
+        b = ((unit_disc(rng), unit_disc(rng)), (unit_disc(rng), unit_disc(rng)))
         if abs(b[0][0] * b[1][1] - b[0][1] * b[1][0]) >= 0.1:
             return rho, b
 

@@ -36,23 +36,15 @@ class NotSolvableError(QuadOdeError):
 
 
 class DegenerateInversionError(QuadOdeError):
-    """A genericity assumption of the inversion formulas fails (0/0 case).
+    """The system satisfies the solvability constraints but has no
+    canonical form: its invariant line carries no flow, or y1' vanishes.
 
-    The system may still satisfy the solvability constraints; ``formula``
-    names the expression whose denominator vanished.
+    ``formula`` names the expression that vanished.
     """
 
     def __init__(self, message: str, formula: str | None = None):
         super().__init__(message)
         self.formula = formula
-
-
-class BetaIndeterminateError(DegenerateInversionError):
-    """The first-degree equation for the matrix-entry ratio is 0 = 0."""
-
-
-class RhoIndeterminateError(DegenerateInversionError):
-    """None of the three parameter-recovery formula pairs is applicable."""
 
 
 class InternalConsistencyError(QuadOdeError):

@@ -1,14 +1,41 @@
 """Recovery of the conjugacy data from the six coefficients.
 
 Membership in the explicitly solvable subclass is decided by two quintic
-polynomial constraints on the coefficients.  When they hold, the chain
+polynomial constraints on the coefficients.  When they hold, the
+decomposition x = b*y to the canonical system
 
-    beta  ->  b22, b12  ->  quadratic for b21  ->  b11  ->  (rho1, rho2)
+    y1' = y1**2,   y2' = rho1*y1**2 + rho2*y1*y2 + y2**2
 
-recovers the full decomposition.  The b21 equation is cubic on paper, but
-its leading coefficient C3 vanishes on the constraint variety (an empirical
-fact, checked here on every inversion), leaving a quadratic whose two roots
-give two equivalent decompositions ("branches") of the same system.
+is read off the image of the invariant line y1 = 0.  Let
+
+    l(v) = (2 c11 + c22) v1 + (c12 + 2 c23) v2
+
+be the trace of the Jacobian of Q at v (linear in v), and F(v) = v*l(v) - 2 Q(v):
+
+    F1 = c22 v1**2 + (2 c23 - c12) v1 v2 - 2 c13 v2**2
+    F2 = -2 c21 v1**2 + (2 c11 - c22) v1 v2 + c12 v2**2
+
+The trace is invariant under conjugation, so F is covariant: F(b y) =
+b F_can(y) with F_can(y) = y1 * (rho2 y1 + 2 y2, -2 rho1 y1 + (2 - rho2) y2).
+The line y1 = 0 is therefore a common root of F1 and F2.  A second common
+root exists only when delta**2 = 1, and then either root gives a valid
+decomposition.  The inversion is:
+
+1. Take both roots of the larger of F1 and F2 projectively (no b22 = 0
+   case) and keep the one that best zeroes the other form.
+2. On that line Q(v) = v l(v)/2, so the second column (b12, b22) = 2 v/l(v)
+   is the fixed point Q(x) = x, the image of (y1, y2) = (0, 1).
+3. With L(x) = b22 x1 - b12 x2 (so y1 = L(x)/det b), y1' = y1**2 fixes the
+   first column in the normal gauge k*(conj b22, -conj b12):
+   k = L(e)/L(Q(e)) for e = (conj b22, -conj b12).
+4. rho is read off the pulled y2 row: rho1 = a2.Q(col1) and
+   rho2 = a2.(2 B(col1, col2)), with a2 the second row of b**-1 and B the
+   symmetric bilinear form of Q.
+5. Decompositions differ by the shear y2 -> y2 + s y1, which maps
+   col1 -> col1 - s col2, rho2 -> rho2 - 2 s and
+   rho1 -> rho1 - rho2 s + s**2 + s.  The two branches are the members
+   with b11 = 0 and b11 = 1 (s = (b11 - target)/b12); when b12 = 0 the
+   shear cannot move b11, and both branches are the normal gauge.
 """
 
 from __future__ import annotations
@@ -17,20 +44,9 @@ import cmath
 from dataclasses import dataclass
 
 from .canonical import CanonicalParams
-from .errors import (
-    BetaIndeterminateError,
-    DegenerateInversionError,
-    InternalConsistencyError,
-    NoRootError,
-    NotSolvableError,
-    RhoIndeterminateError,
-)
+from .errors import DegenerateInversionError, InternalConsistencyError, NotSolvableError
 from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, solve_quadratic
-from .transform import LinearChange, Mat2, QuadraticSystem, forward_map, linear_change_from_b
-
-# Gate on |C3| relative to the largest cubic coefficient before the cubic is
-# truncated to a quadratic; beyond this the inversion refuses to proceed.
-C3_GATE = 1e-6
+from .transform import LinearChange, Mat2, Pair, QuadraticSystem, forward_map, linear_change_from_b
 
 AlphaRows = tuple[tuple[complex, complex, complex], tuple[complex, complex, complex]]
 
@@ -61,32 +77,35 @@ class ConstraintResiduals:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """One inversion branch: conjugacy matrix b, canonical parameters, delta."""
+    """One inversion branch: conjugacy matrix b, canonical parameters, delta.
 
-    beta: complex
+    ``beta`` is the slope b12/b22 of the invariant line, None when b22 = 0
+    (to eq_tol relative to b12).
+    """
+
+    beta: complex | None
     b: Mat2
     rho: CanonicalParams
     delta: complex
-    branch: str  # "plus" (lexicographically first b21 root) or "minus"
+    branch: str  # "plus" (lexicographically first b21) or "minus"
 
 
 @dataclass(frozen=True)
 class InversionDiagnostics:
-    """Intermediate quantities recorded for every inversion attempt.
+    """Quantities recorded for every inversion.
 
-    ``alpha`` holds the pulled coefficient combinations for the plus branch
-    (None when the attempt failed before branches were built).  ``cubic`` is
-    (C0, C1, C2, C3); ``c3_residual`` is |C3| over the largest |Ck| and
-    ``b221_residual`` is normalized against the monomial scale of B221.
+    ``alpha`` holds the pulled coefficient rows of the plus branch (None in
+    the diagnostics of a branch that failed its round trip).
+    ``line_residual`` is how far the chosen root of the larger of F1, F2
+    misses the other form, relative to its monomial scale (0 on the exact
+    invariant line).  ``roundtrip_deviation`` is the largest coefficient
+    deviation of either branch's forward map, relative to the largest
+    coefficient.
     """
 
     alpha: AlphaRows | None
-    b110: complex
-    b220: complex
-    b221: complex
-    cubic: tuple[complex, complex, complex, complex]
-    c3_residual: float
-    b221_residual: float
+    line_residual: float
+    roundtrip_deviation: float
 
 
 @dataclass(frozen=True)
@@ -149,18 +168,6 @@ def constraint_residuals(
     return ConstraintResiduals(r1, r2, scale1, scale2, satisfied)
 
 
-def compute_beta(sys: QuadraticSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex:
-    """Ratio b12/b22 from the first-degree combination of the two ratio
-    quadratics; indeterminate when its denominator vanishes."""
-    n_val, n_scale, d_val, d_scale = _constraint_parts(sys)
-    if d_scale == 0.0 or abs(d_val) <= tol.eq_tol * d_scale:
-        raise BetaIndeterminateError(
-            "beta denominator (c22 - 2 c11) c22 + 2 c21 (c12 - 2 c23) vanishes",
-            formula="beta",
-        )
-    return n_val / d_val
-
-
 def alpha_from_change(sys: QuadraticSystem, ch: LinearChange) -> AlphaRows:
     """Pulled coefficient rows alpha[n][l] = a_n1 c_1l + a_n2 c_2l."""
     rows = []
@@ -170,121 +177,29 @@ def alpha_from_change(sys: QuadraticSystem, ch: LinearChange) -> AlphaRows:
     return (rows[0], rows[1])
 
 
-def _rho_pair_a(sys: QuadraticSystem, b: Mat2) -> CanonicalParams:
-    (b11, b12), (b21, b22) = b
-    rho1 = (
-        b21 * b21 * (1.0 - b12 * sys.c11 - b22 * sys.c12)
-        + b11 * b11 * b22 * sys.c21
-        + b11 * b21 * (b12 * sys.c21 - b22 * (sys.c11 - sys.c22))
-    ) / (b22 * b22)
-    rho2 = (
-        2.0 * b21
-        - 2.0 * b12 * b21 * sys.c11
-        - b21 * b22 * sys.c12
-        + 2.0 * b11 * b12 * sys.c21
-        + b11 * b22 * sys.c22
-    ) / b22
-    return CanonicalParams(rho1, rho2)
-
-
-def _rho_pair_b(sys: QuadraticSystem, b: Mat2) -> CanonicalParams:
-    (b11, b12), (b21, b22) = b
-    rho1 = (
-        b12 * b21 * b21 * sys.c13
-        + b11 * b21 * (b22 * sys.c13 + b12 * (sys.c12 - sys.c23))
-        + b11 * b11 * (1.0 - b12 * sys.c22 - b22 * sys.c23)
-    ) / (b12 * b12)
-    rho2 = (
-        b11 * (2.0 - b12 * sys.c22 - 2.0 * b22 * sys.c23)
-        + b12 * b21 * sys.c12
-        + 2.0 * b21 * b22 * sys.c13
-    ) / b12
-    return CanonicalParams(rho1, rho2)
-
-
-def _rho_pair_c(sys: QuadraticSystem, b: Mat2) -> CanonicalParams:
-    (b11, b12), (b21, b22) = b
-    rho1 = (
-        b21 * b21 * b22 * sys.c13
-        + b11 * b11 * b12 * sys.c21
-        + b11 * b21 * (1.0 - b12 * sys.c11 - b22 * sys.c23)
-    ) / (b12 * b22)
-    rho2 = (
-        b21 / b22
-        + (b12 * (-b21 * sys.c11 + b11 * sys.c21)) / b22
-        + (b11 + b21 * b22 * sys.c13 - b11 * b22 * sys.c23) / b12
+def _invariant_line(sys: QuadraticSystem) -> tuple[Pair, float]:
+    """The direction v of the image of y1 = 0, with its line residual."""
+    forms = (
+        (sys.c22, 2.0 * sys.c23 - sys.c12, -2.0 * sys.c13),
+        (-2.0 * sys.c21, 2.0 * sys.c11 - sys.c22, sys.c12),
     )
-    return CanonicalParams(rho1, rho2)
+    big, other = sorted(forms, key=lambda f: sum(abs(c) for c in f), reverse=True)
+
+    def miss(v: Pair) -> float:
+        terms = (other[0] * v[0] * v[0], other[1] * v[0] * v[1], other[2] * v[1] * v[1])
+        scale = sum(abs(t) for t in terms)
+        return abs(sum(terms)) / scale if scale > 0 else 0.0
+
+    v = min(solve_quadratic(*big), key=miss)
+    return v, miss(v)
 
 
-def rho_from_b(
-    sys: QuadraticSystem, b, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[CanonicalParams | None, CanonicalParams | None, CanonicalParams | None]:
-    """All applicable candidates from the three parameter-recovery pairs.
-
-    Entries are None when the pair's divisor (b22, b12, or both) vanishes.
-    On a valid decomposition the applicable candidates agree.
-    """
-    b = tuple(tuple(complex(v) for v in row) for row in b)
-    (b11, b12), (b21, b22) = b
-    scale = max(abs(b11), abs(b12), abs(b21), abs(b22))
-    ok22 = abs(b22) > tol.eq_tol * scale
-    ok12 = abs(b12) > tol.eq_tol * scale
-    cand_a = _rho_pair_a(sys, b) if ok22 else None
-    cand_b = _rho_pair_b(sys, b) if ok12 else None
-    cand_c = _rho_pair_c(sys, b) if (ok12 and ok22) else None
-    if cand_a is None and cand_b is None and cand_c is None:
-        raise RhoIndeterminateError(
-            "all three parameter-recovery pairs have vanishing divisors",
-            formula="rho pairs",
-        )
-    return (cand_a, cand_b, cand_c)
-
-
-def _cubic_coefficients(sys: QuadraticSystem, beta: complex):
-    """Coefficients (C0..C3) of the b21 equation, with monomial scales."""
-    ab = abs(beta)
-    p = sys.c11 - beta * sys.c21
-    sp = abs(sys.c11) + ab * abs(sys.c21)
-    q = 1.0 - p
-    sq = 1.0 + sp
-    t1 = sys.c13 + beta * (sys.c12 - sys.c23) + beta * beta * (sys.c11 - sys.c22)
-    st1 = abs(sys.c13) + ab * (abs(sys.c12) + abs(sys.c23)) + ab * ab * (abs(sys.c11) + abs(sys.c22))
-    b3c = beta**3 * sys.c21
-    sb3c = ab**3 * abs(sys.c21)
-
-    c0 = beta * beta * sys.c21 * q
-    s0 = ab * ab * abs(sys.c21) * sq
-    c1 = p * (b3c - q * (t1 - 2.0 * b3c))
-    s1 = sp * (sb3c + sq * (st1 + 2.0 * sb3c))
-    c2 = -beta * p * p * ((t1 - 2.0 * b3c) + q * (t1 - b3c))
-    s2 = ab * sp * sp * ((st1 + 2.0 * sb3c) + sq * (st1 + sb3c))
-    c3 = -beta * beta * p**3 * (t1 - b3c)
-    s3 = ab * ab * sp**3 * (st1 + sb3c)
-    return (c0, c1, c2, c3), (s0, s1, s2, s3), p, sp, t1, st1, b3c, sb3c
-
-
-def _solve_b21(cubic, scales, tol: ToleranceConfig) -> tuple[complex, complex]:
-    """Roots of the truncated (quadratic) b21 equation, lexicographically sorted.
-
-    Coefficients below their monomial scale are treated as exact zeros.  The
-    all-zero case arises for canonical-form inputs, where b21 is a free shear
-    parameter; the representative b21 = 0 is returned for both branches.
-    """
-    c0, c1, c2, _ = cubic
-    s0, s1, s2, _ = scales
-    z0 = abs(c0) <= tol.eq_tol * s0
-    z1 = abs(c1) <= tol.eq_tol * s1
-    z2 = abs(c2) <= tol.eq_tol * s2
-    if z2 and z1 and z0:
-        return (0.0 + 0.0j, 0.0 + 0.0j)
-    try:
-        roots = solve_quadratic(0.0 if z2 else c2, 0.0 if z1 else c1, 0.0 if z0 else c0)
-    except NoRootError as exc:
-        raise DegenerateInversionError(
-            f"b21 equation degenerates: {exc}", formula="b21 quadratic"
-        ) from exc
-    return (roots.first, roots.second)
+def _polar(sys: QuadraticSystem, u: Pair, w: Pair) -> Pair:
+    """2 B(u, w) = Q(u + w) - Q(u) - Q(w), the polarisation of Q."""
+    return tuple(
+        2.0 * c1 * u[0] * w[0] + c2 * (u[0] * w[1] + u[1] * w[0]) + 2.0 * c3 * u[1] * w[1]
+        for c1, c2, c3 in sys.c
+    )
 
 
 def decompose(
@@ -293,10 +208,10 @@ def decompose(
     """Recover both decompositions of a constraint-satisfying system.
 
     Raises NotSolvableError when the constraints fail, DegenerateInversionError
-    when a formula's genericity assumption breaks (such systems are
-    indeterminate, not proven unsolvable), and InternalConsistencyError when
-    C3 fails to vanish or a branch does not round-trip through the forward
-    map.
+    when the system satisfies them but has no canonical form (the zero
+    system, an invariant line without flow, or y1' = 0), and
+    InternalConsistencyError when a branch does not round-trip through the
+    forward map.
     """
     residuals = constraint_residuals(sys, tol)
     if not residuals.satisfied:
@@ -305,72 +220,65 @@ def decompose(
             f"(relative residuals {residuals.rel1:.3e}, {residuals.rel2:.3e})",
             residuals=residuals,
         )
-    beta = compute_beta(sys, tol)
-
-    cubic, scales, p, sp, t1, st1, b3c, sb3c = _cubic_coefficients(sys, beta)
-    if sp == 0.0 or abs(p) <= tol.eq_tol * sp:
-        raise DegenerateInversionError("c11 - beta*c21 vanishes", formula="B110")
-    b110 = 1.0 / p
-    b220 = sys.c23 + beta * sys.c22 + beta * beta * sys.c21
-    s220 = abs(sys.c23) + abs(beta) * abs(sys.c22) + abs(beta) ** 2 * abs(sys.c21)
-    if s220 == 0.0 or abs(b220) <= tol.eq_tol * s220:
-        raise DegenerateInversionError(
-            "c23 + beta*c22 + beta^2*c21 vanishes", formula="b22 denominator"
-        )
-    b221 = -p * (t1 - b3c)
-    s221 = sp * (st1 + sb3c)
-    b221_residual = abs(b221) / s221 if s221 > 0 else 0.0
-
-    max_c = max(abs(v) for v in cubic)
-    c3_residual = abs(cubic[3]) / max_c if max_c > 0 else 0.0
-    diagnostics = InversionDiagnostics(
-        alpha=None,
-        b110=b110,
-        b220=b220,
-        b221=b221,
-        cubic=cubic,
-        c3_residual=c3_residual,
-        b221_residual=b221_residual,
-    )
-    if c3_residual > C3_GATE:
-        raise InternalConsistencyError(
-            f"cubic coefficient C3 does not vanish (relative size {c3_residual:.3e}); "
-            "refusing to truncate the b21 equation",
-            diagnostics=diagnostics,
-        )
-
-    b22 = 1.0 / b220
-    b12 = beta * b22
-    roots = _solve_b21(cubic, scales, tol)
-
     sys_scale = sys.max_abs()
-    branches = []
-    for label, b21 in zip(("plus", "minus"), roots):
-        b11 = b110 + beta * b21
-        b: Mat2 = ((b11, b12), (b21, b22))
-        rho = _rho_pair_a(sys, b)
-        one_minus = 1.0 - rho.rho2
-        delta = cmath.sqrt(one_minus * one_minus - 4.0 * rho.rho1)
-        rebuilt = forward_map(rho, linear_change_from_b(b, tol))
-        dev = max(
-            abs(rebuilt.c[n][l] - sys.c[n][l]) for n in range(2) for l in range(3)
+    if sys_scale == 0.0:
+        raise DegenerateInversionError("the zero system has no canonical form", formula="Q")
+    v, line_residual = _invariant_line(sys)
+    ell = (2.0 * sys.c11 + sys.c22) * v[0] + (sys.c12 + 2.0 * sys.c23) * v[1]
+    if abs(ell) <= tol.eq_tol * sys_scale * max(abs(v[0]), abs(v[1])):
+        raise DegenerateInversionError(
+            "the invariant line carries no flow: l(v) vanishes", formula="l(v)"
         )
-        if sys_scale > 0 and dev > 1e-9 * sys_scale:
+    b12, b22 = 2.0 * v[0] / ell, 2.0 * v[1] / ell
+
+    # Normal gauge: the first column is k*e with e orthogonal to (b12, b22).
+    e = (b22.conjugate(), -b12.conjugate())
+    norm = abs(b12) ** 2 + abs(b22) ** 2
+    q1, q2 = sys.rhs(e)
+    lqe = b22 * q1 - b12 * q2
+    if abs(lqe) <= tol.eq_tol * sys_scale * norm**1.5:
+        raise DegenerateInversionError("y1' vanishes: no first column", formula="L(Q(e))")
+    k = norm / lqe
+    b11, b21 = k * e[0], k * e[1]
+    det = k * norm
+    qc = sys.rhs((b11, b21))
+    pc = _polar(sys, (b11, b21), (b12, b22))
+    rho1 = (b11 * qc[1] - b21 * qc[0]) / det
+    rho2 = (b11 * pc[1] - b21 * pc[0]) / det
+    # delta is shear-invariant; taken here it escapes the shear's cancellation.
+    delta = cmath.sqrt((1.0 - rho2) ** 2 - 4.0 * rho1)
+
+    # Shear to the gauge b11 = 0 or 1; b12 = 0 leaves b11 where it is.
+    if abs(b12) <= tol.eq_tol * abs(b22):
+        members = [(b11, 0.0), (b11, 0.0)]
+    else:
+        members = [(target, (b11 - target) / b12) for target in (0.0, 1.0)]
+    candidates = []
+    for target, s in members:
+        b: Mat2 = ((complex(target), b12), (b21 - s * b22, b22))
+        rho = CanonicalParams(rho1 - rho2 * s + s * s + s, rho2 - 2.0 * s)
+        candidates.append((b, rho))
+    candidates.sort(key=lambda c: (c[0][1][0].real, c[0][1][0].imag))  # by b21
+
+    beta = None if abs(b22) <= tol.eq_tol * abs(b12) else b12 / b22
+    branches, changes = [], []
+    deviation = 0.0
+    for label, (b, rho) in zip(("plus", "minus"), candidates):
+        change = linear_change_from_b(b, tol)
+        changes.append(change)
+        rebuilt = forward_map(rho, change)
+        dev = max(abs(rebuilt.c[n][l] - sys.c[n][l]) for n in range(2) for l in range(3))
+        deviation = max(deviation, dev / sys_scale)
+        if deviation > 1e-9:
             raise InternalConsistencyError(
                 f"branch {label} does not reproduce the input coefficients "
                 f"(deviation {dev:.3e} vs scale {sys_scale:.3e})",
-                diagnostics=diagnostics,
+                diagnostics=InversionDiagnostics(None, line_residual, deviation),
             )
         branches.append(Decomposition(beta=beta, b=b, rho=rho, delta=delta, branch=label))
 
     plus, minus = branches
-    diagnostics = InversionDiagnostics(
-        alpha=alpha_from_change(sys, linear_change_from_b(plus.b, tol)),
-        b110=b110,
-        b220=b220,
-        b221=b221,
-        cubic=cubic,
-        c3_residual=c3_residual,
-        b221_residual=b221_residual,
+    alpha = alpha_from_change(sys, changes[0])
+    return InversionResult(
+        plus=plus, minus=minus, diagnostics=InversionDiagnostics(alpha, line_residual, deviation)
     )
-    return InversionResult(plus=plus, minus=minus, diagnostics=diagnostics)

@@ -94,43 +94,36 @@ def continued_log(path: Sequence[complex], sing_tol: float = DEFAULT_TOLERANCES.
 
 
 class QuadraticRoots(NamedTuple):
-    first: complex
-    second: complex
-    linear_degenerate: bool
-
-
-def _lex_pair(r1: complex, r2: complex) -> tuple[complex, complex]:
-    if (r1.real, r1.imag) <= (r2.real, r2.imag):
-        return r1, r2
-    return r2, r1
+    first: tuple[complex, complex]
+    second: tuple[complex, complex]
 
 
 def solve_quadratic(c2: complex, c1: complex, c0: complex) -> QuadraticRoots:
-    """Both roots of ``c2 x^2 + c1 x + c0 = 0``, sorted by (re, im).
+    """Both roots ``(x, w)`` of the binary form ``c2 x^2 + c1 x w + c0 w^2``.
 
-    A vanishing leading coefficient falls back to the linear root, returned
-    twice with ``linear_degenerate`` set.  ``c2 == c1 == 0`` raises
-    NoRootError (the message distinguishes the all-roots case ``c0 == 0``).
+    The roots are taken projectively, as the pairs ``(q, c2)`` and
+    ``(c0, q)`` with ``q = -(c1 +- sqrt(c1^2 - 4 c2 c0))/2`` signed to avoid
+    cancellation, so a vanishing leading coefficient gives the root at
+    infinity ``(1, 0)`` rather than a special case.  A double root with
+    ``q == 0`` is returned twice.  The zero form raises NoRootError.
     """
     c2 = ensure_finite(c2, "c2")
     c1 = ensure_finite(c1, "c1")
     c0 = ensure_finite(c0, "c0")
-    if c2 == 0:
-        if c1 == 0:
-            if c0 == 0:
-                raise NoRootError("degenerate equation 0 = 0: every value is a root")
-            raise NoRootError("equation reduces to a nonzero constant: no roots")
-        root = -c0 / c1
-        return QuadraticRoots(root, root, True)
-    if c0 == 0:
-        return QuadraticRoots(*_lex_pair(0.0 + 0.0j, -c1 / c2), False)
+    size = max(abs(c2), abs(c1), abs(c0))
+    if size == 0.0:
+        raise NoRootError("degenerate equation 0 = 0: every value is a root")
+    # Unit size keeps the discriminant clear of underflow and overflow.
+    c2, c1, c0 = c2 / size, c1 / size, c0 / size
     disc = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
-    # Choose the sign that avoids cancellation between c1 and the square root.
     if c1.real * disc.real + c1.imag * disc.imag >= 0.0:
         q = -(c1 + disc) / 2.0
     else:
         q = -(c1 - disc) / 2.0
-    return QuadraticRoots(*_lex_pair(q / c2, c0 / q), False)
+    if q == 0:
+        # c1 == 0 and c2 * c0 == 0: the double root x = 0 or w = 0.
+        return QuadraticRoots((c0, c2), (c0, c2))
+    return QuadraticRoots((q, c2), (c0, q))
 
 
 def approx_rational(x: float, max_den: int, tol: float = 1e-9) -> Optional[tuple[int, int]]:

@@ -36,14 +36,21 @@ def default_horizon(sys: QuadraticSystem, x0: Pair) -> float:
     return 10.0 / (1.0 + sys.max_abs() * max(abs(x0[0]), abs(x0[1])))
 
 
+def _checked_x0(x0) -> Pair:
+    return (ensure_finite(x0[0], "x1(0)"), ensure_finite(x0[1], "x2(0)"))
+
+
+def _solve_branch(dec: Decomposition, x0: Pair, tol: ToleranceConfig):
+    change = linear_change_from_b(dec.b, tol)
+    return change, solve_canonical(dec.rho, pull_state(change, x0), tol)
+
+
 def prepare(sys, x0, branch, tol):
     """Checked x0, the branch's decomposition, its linear change and the
     solved canonical problem: the common start of plain and lifted solves."""
-    x0 = (ensure_finite(x0[0], "x1(0)"), ensure_finite(x0[1], "x2(0)"))
+    x0 = _checked_x0(x0)
     dec = decompose(sys, tol).branch(branch)
-    change = linear_change_from_b(dec.b, tol)
-    canonical = solve_canonical(dec.rho, pull_state(change, x0), tol)
-    return x0, dec, change, canonical
+    return (x0, dec) + _solve_branch(dec, x0, tol)
 
 
 def solve_ivp(
@@ -92,15 +99,17 @@ def branch_equivalence_check(
     """Largest relative deviation between the two branch trajectories.
 
     Both decompositions of the same system must describe one trajectory;
-    this evaluates both at the sample times and returns
+    this evaluates both, from one inversion, at the sample times and returns
     max |x_plus - x_minus| / (1 + |x_plus|) (max-component norm).
     """
-    plus = solve_ivp(sys, x0, branch="plus", tol=tol)
-    minus = solve_ivp(sys, x0, branch="minus", tol=tol)
+    x0 = _checked_x0(x0)
+    (plus_change, plus), (minus_change, minus) = (
+        _solve_branch(dec, x0, tol) for dec in decompose(sys, tol).branches
+    )
     worst = 0.0
     for t in t_samples:
-        xp = eval_trajectory(plus, t, tol)
-        xm = eval_trajectory(minus, t, tol)
+        xp = push_state(plus_change, eval_canonical(plus, t, tol))
+        xm = push_state(minus_change, eval_canonical(minus, t, tol))
         diff = max(abs(xp[0] - xm[0]), abs(xp[1] - xm[1]))
         norm = 1.0 + max(abs(xp[0]), abs(xp[1]))
         worst = max(worst, diff / norm)

@@ -8,6 +8,8 @@ import time
 import pytest
 
 from quadode import CanonicalParams, QuadraticSystem, forward_map, linear_change_from_b
+from quadode.cli import sample_solvable_parameters as sample_decomposition_data
+from quadode.cli import unit_disc
 
 # Reference solvable systems used throughout the suite (exact rational data).
 EXAMPLE1 = QuadraticSystem(((7 / 3, 2, 3), (-1, -2, -3)))
@@ -17,22 +19,6 @@ EXAMPLE3 = QuadraticSystem(
 )
 
 ALL_EXAMPLES = (EXAMPLE1, EXAMPLE2, EXAMPLE3)
-
-
-def unit_disc(rng: random.Random) -> complex:
-    while True:
-        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        if abs(z) <= 1.0:
-            return z
-
-
-def sample_decomposition_data(rng: random.Random):
-    """(rho, b) with entries in the unit disc and |det b| >= 0.1."""
-    rho = CanonicalParams(unit_disc(rng), unit_disc(rng))
-    while True:
-        b = ((unit_disc(rng), unit_disc(rng)), (unit_disc(rng), unit_disc(rng)))
-        if abs(b[0][0] * b[1][1] - b[0][1] * b[1][0]) >= 0.1:
-            return rho, b
 
 
 def sample_gauge_decomposition_data(rng: random.Random):

@@ -182,24 +182,24 @@ def test_criterion_03_constraint_gate():
     report(3, "examples satisfy constraints at 1e-12; all 6 perturbations violate")
 
 
-def test_criterion_04_c3_and_b221_vanish():
+def test_criterion_04_line_and_roundtrip_residuals_vanish():
     rng = random.Random(19052021)
     start = time.perf_counter()
-    worst_c3 = worst_b221 = 0.0
+    worst_line = worst_roundtrip = 0.0
     for _ in range(100):
         rho, b = sample_decomposition_data(rng)
         sys = forward_map(rho, linear_change_from_b(b))
         diag = decompose(sys).diagnostics
-        worst_c3 = max(worst_c3, diag.c3_residual)
-        worst_b221 = max(worst_b221, diag.b221_residual)
+        worst_line = max(worst_line, diag.line_residual)
+        worst_roundtrip = max(worst_roundtrip, diag.roundtrip_deviation)
     elapsed = time.perf_counter() - start
-    assert worst_c3 <= 1e-9
-    assert worst_b221 <= 1e-9
+    assert worst_line <= 1e-9
+    assert worst_roundtrip <= 1e-9
     assert elapsed < 1.0
     report(
         4,
-        f"100 systems: max c3 residual {worst_c3:.1e}, max B221 residual "
-        f"{worst_b221:.1e}, runtime {elapsed * 1e3:.0f} ms < 1 s",
+        f"100 systems: max line residual {worst_line:.1e}, max round-trip deviation "
+        f"{worst_roundtrip:.1e}, runtime {elapsed * 1e3:.0f} ms < 1 s",
     )
 
 

@@ -50,7 +50,8 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["constraints"]["satisfied"] is True
         assert len(report["branches"]) == 2
-        assert report["diagnostics"]["c3_residual"] <= 1e-12
+        assert report["diagnostics"]["line_residual"] <= 1e-12
+        assert report["diagnostics"]["roundtrip_deviation"] <= 1e-12
         betas = {tuple(b["beta"]) for b in report["branches"]}
         assert betas == {(-3.0, 0.0)} or all(abs(b[0] + 3) < 1e-12 for b in betas)
 

@@ -1,21 +1,22 @@
 """Constraint gate and recovery of the decomposition data."""
 
+import cmath
+import math
 import random
 
 import pytest
 
 from quadode import (
-    BetaIndeterminateError,
+    CanonicalParams,
     DegenerateInversionError,
+    InternalConsistencyError,
     NotSolvableError,
     QuadraticSystem,
     alpha_from_change,
-    compute_beta,
     constraint_residuals,
     decompose,
     forward_map,
     linear_change_from_b,
-    rho_from_b,
 )
 from conftest import (
     ALL_EXAMPLES,
@@ -24,6 +25,7 @@ from conftest import (
     EXAMPLE3,
     sample_decomposition_data,
     sample_gauge_decomposition_data,
+    unit_disc,
 )
 
 
@@ -63,19 +65,21 @@ class TestConstraints:
 
 class TestBeta:
     def test_reference_values(self):
-        assert close(compute_beta(EXAMPLE2), 2.0)
-        assert close(compute_beta(EXAMPLE1), -3.0)
-        assert close(compute_beta(EXAMPLE3), 5 / 3, tol=1e-13)
+        for sys, want in ((EXAMPLE2, 2.0), (EXAMPLE1, -3.0), (EXAMPLE3, 5 / 3)):
+            for dec in decompose(sys).branches:
+                assert close(dec.beta, want, tol=1e-13)
 
     def test_canonical_form_gives_zero(self):
         sys = QuadraticSystem(((1, 0, 0), (0.25, 0.5, 1)))
-        assert compute_beta(sys) == 0
+        for dec in decompose(sys).branches:
+            assert dec.beta == 0
 
     def test_indeterminate(self):
-        # numerator and denominator both vanish identically
+        # the invariant line is the x1 axis: b22 = 0 and the slope
+        # b12/b22 is reported as None
         sys = QuadraticSystem(((1, 0, 1), (0, 0, 1)))
-        with pytest.raises(BetaIndeterminateError):
-            compute_beta(sys)
+        for dec in decompose(sys).branches:
+            assert dec.beta is None
 
 
 class TestDecomposeGolden:
@@ -120,8 +124,8 @@ class TestDecomposeGolden:
     def test_diagnostics_on_references(self):
         for sys in ALL_EXAMPLES:
             diag = decompose(sys).diagnostics
-            assert diag.c3_residual <= 1e-12
-            assert diag.b221_residual <= 1e-12
+            assert diag.line_residual <= 1e-12
+            assert diag.roundtrip_deviation <= 1e-12
             assert diag.alpha is not None
 
     def test_not_solvable_raises_with_residuals(self):
@@ -147,37 +151,38 @@ class TestDecomposeGolden:
             assert close(dec.rho.rho2, 3.0)
 
     def test_constraint_satisfying_but_indeterminate(self):
-        # both constraint polynomials vanish identically, yet the ratio
-        # equation is 0/0: reported indeterminate, not unsolvable
-        sys = QuadraticSystem(((1, 0, 1), (0, 0, 1)))
+        # both constraint polynomials vanish identically, yet the invariant
+        # line (the x1 axis) carries no flow: no canonical form, reported
+        # as degenerate, not unsolvable
+        sys = QuadraticSystem(((0, 2, 0), (0, 0, 1)))
         assert constraint_residuals(sys).satisfied
         with pytest.raises(DegenerateInversionError) as excinfo:
             decompose(sys)
-        assert isinstance(excinfo.value, BetaIndeterminateError)
+        assert excinfo.value.formula == "l(v)"
         assert not isinstance(excinfo.value, NotSolvableError)
 
+    @pytest.mark.parametrize(
+        "coefficients, formula",
+        [(((0, 0, 0), (0, 0, 0)), "Q"), (((0, 0, 0), (1, 0, 1)), "L(Q(e))")],
+        ids=["zero", "y1-frozen"],
+    )
+    def test_systems_without_canonical_form(self, coefficients, formula):
+        sys = QuadraticSystem(coefficients)
+        assert constraint_residuals(sys).satisfied
+        with pytest.raises(DegenerateInversionError) as excinfo:
+            decompose(sys)
+        assert excinfo.value.formula == formula
 
-class TestRhoFromB:
-    def test_all_pairs_agree_on_reference_branch(self):
-        dec = decompose(EXAMPLE1).branch("minus")
-        candidates = rho_from_b(EXAMPLE1, dec.b)
-        assert all(c is not None for c in candidates)
-        for cand in candidates:
-            assert close(cand.rho1, 1.5)
-            assert abs(cand.rho2) <= 1e-12
-
-    def test_third_reference_other_branch(self):
-        dec = decompose(EXAMPLE3).branch("minus")
-        for cand in rho_from_b(EXAMPLE3, dec.b):
-            assert cand is not None
-            assert close(cand.rho1, -14 / 25)
-            assert close(cand.rho2, 9 / 10)
-
-    def test_b12_zero_flags_pairs(self):
-        sys = QuadraticSystem(((1, 0, 0), (1, 3, 1)))
-        candidates = rho_from_b(sys, ((1, 0), (0, 1)))
-        assert candidates[0] is not None
-        assert candidates[1] is None and candidates[2] is None
+    def test_b22_zero_system_decomposes(self):
+        # formerly 0/0 in the slope b12/b22; the invariant line is the x1 axis
+        sys = QuadraticSystem(((1, 0, 1), (0, 0, 1)))
+        result = decompose(sys)
+        assert branch_tuples(result) == {
+            "plus": (0, 1, 1, 0),
+            "minus": (1, 1, 1, 2),
+        }
+        for dec in result.branches:
+            assert dec.b[0][1] == 1 and dec.b[1][1] == 0
 
 
 class TestRandomizedProperties:
@@ -232,14 +237,14 @@ class TestRandomizedProperties:
             assert abs(dec.rho.rho1 - rho.rho1) <= 1e-8 * (1 + abs(rho.rho1))
             assert abs(dec.rho.rho2 - rho.rho2) <= 1e-8 * (1 + abs(rho.rho2))
 
-    def test_c3_and_b221_vanish(self):
+    def test_line_and_roundtrip_residuals_vanish(self):
         rng = random.Random(202)
         for _ in range(100):
             rho, b = sample_decomposition_data(rng)
             sys = forward_map(rho, linear_change_from_b(b))
             diag = decompose(sys).diagnostics
-            assert diag.c3_residual <= 1e-9
-            assert diag.b221_residual <= 1e-9
+            assert diag.line_residual <= 1e-9
+            assert diag.roundtrip_deviation <= 1e-9
 
     def test_branch_deltas_agree_up_to_sign(self):
         # Equal delta**2 across branches; within a branch, negating delta only
@@ -263,7 +268,7 @@ class TestRandomizedProperties:
         for _ in range(60):
             rho, b = sample_decomposition_data(rng)
             sys = forward_map(rho, linear_change_from_b(b))
-            beta = compute_beta(sys)
+            beta = decompose(sys).plus.beta
             c = sys
             r_a = 2 * c.c21 * beta**2 + (c.c22 - 2 * c.c11) * beta - c.c12
             s_a = (
@@ -305,3 +310,98 @@ class TestRandomizedProperties:
                     for l in range(3):
                         want = expected[n][l]
                         assert abs(alpha[n][l] - want) <= 1e-9 * (1 + abs(want))
+
+
+def rho_for_delta(delta, rho2):
+    return CanonicalParams(((1 - rho2) ** 2 - delta * delta) / 4, rho2)
+
+
+def _phase(rng):
+    return cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+
+def _real_b(rng):
+    return ((rng.uniform(-1, 1), rng.uniform(-1, 1)), (rng.uniform(-1, 1), rng.uniform(-1, 1)))
+
+
+def _disc_b(rng):
+    return ((unit_disc(rng), unit_disc(rng)), (unit_disc(rng), unit_disc(rng)))
+
+
+# The strata on which the former beta -> b22 -> b21 -> b11 chain failed.
+# Each draws (rho, b); b is redrawn until |det b| >= 0.1.
+STRATA = {
+    "b22_zero": lambda rng: (
+        CanonicalParams(unit_disc(rng), unit_disc(rng)),
+        ((unit_disc(rng), unit_disc(rng)), (unit_disc(rng), 0j)),
+    ),
+    "b22_1e-8": lambda rng: (
+        CanonicalParams(unit_disc(rng), unit_disc(rng)),
+        ((unit_disc(rng), unit_disc(rng)), (unit_disc(rng), 1e-8 * _phase(rng))),
+    ),
+    "b21_rho1_zero": lambda rng: (
+        CanonicalParams(0j, unit_disc(rng)),
+        ((unit_disc(rng), unit_disc(rng)), (0j, unit_disc(rng))),
+    ),
+    "delta_one_rho_zero": lambda rng: (CanonicalParams(0j, 0j), _disc_b(rng)),
+    "delta_one": lambda rng: (rho_for_delta(1.0, unit_disc(rng)), _disc_b(rng)),
+    "delta_near_one_real": lambda rng: (
+        rho_for_delta(1.0 + 1e-8, rng.uniform(-1, 1)),
+        _real_b(rng),
+    ),
+    "delta_near_one_complex": lambda rng: (
+        rho_for_delta(1.0 + 1e-8, unit_disc(rng)),
+        _disc_b(rng),
+    ),
+}
+
+# The fixed fault inputs (rho, b) of the benchmark (bench/workloads.py: FAULTS).
+FAULT_INPUTS = {
+    "delta_one-0": (CanonicalParams(0j, 0j), ((0.6, 0.3), (-0.2, 0.7))),
+    "delta_one-1": (rho_for_delta(1.0, 0.3 + 0.4j), ((0.1 - 0.5j, 0.4), (0.7j, -0.6 + 0.2j))),
+    "delta_one-2": (rho_for_delta(1.0, -0.5), ((-0.3, 0.8), (0.5, 0.4))),
+    "b22_zero-0": (CanonicalParams(0.3 - 0.2j, 0.5j), ((0.4, 0.7), (-0.5 + 0.3j, 0j))),
+    "b22_zero-1": (CanonicalParams(-0.4, 0.2), ((0.9, -0.3), (0.6, 0j))),
+    "b22_zero-2": (CanonicalParams(0.1j, -0.7 + 0.1j), ((0.2j, 0.5 - 0.5j), (0.8, 0j))),
+    "b21_zero_rho1_zero-0": (CanonicalParams(0j, 0.4 + 0.3j), ((0.5, 0.6), (0j, 0.7 - 0.2j))),
+    "b21_zero_rho1_zero-1": (CanonicalParams(0j, -0.6), ((0.8, -0.4), (0j, 0.5))),
+    "b21_zero_rho1_zero-2": (CanonicalParams(0j, 0.2j), ((-0.3 + 0.6j, 0.4j), (0j, 0.9))),
+    "near_hole_real-0": (rho_for_delta(1.001, 0.5), ((-0.3, -0.56), (-0.71, -0.03))),
+    "near_hole_real-1": (rho_for_delta(1.001, -0.28), ((0.45, -0.72), (0.45, -0.01))),
+    "near_hole_real-2": (rho_for_delta(1.001, 0.71), ((-0.9, -0.91), (0.7, -0.02))),
+}
+
+
+def assert_recovers_delta(rho, b):
+    want = (1 - rho.rho2) ** 2 - 4 * rho.rho1
+    result = decompose(forward_map(rho, linear_change_from_b(b)))
+    for dec in result.branches:
+        assert abs(dec.delta**2 - want) <= 1e-9 * abs(want)
+
+
+class TestHoleStrata:
+    @pytest.mark.parametrize("stratum", sorted(STRATA))
+    def test_stratum_decomposes(self, stratum):
+        rng = random.Random(f"strata/{stratum}")
+        for _ in range(25):
+            while True:
+                rho, b = STRATA[stratum](rng)
+                if abs(b[0][0] * b[1][1] - b[0][1] * b[1][0]) >= 0.1:
+                    break
+            assert_recovers_delta(rho, b)
+
+    @pytest.mark.parametrize("name", sorted(FAULT_INPUTS))
+    def test_benchmark_fault_input_decomposes(self, name):
+        assert_recovers_delta(*FAULT_INPUTS[name])
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InternalConsistencyError,
+        reason="gauge hole near b12 = 0: reaching b11 in {0, 1} takes a shear of "
+        "about 1/b12 (CHANGES.md, FOUND line on |b12/b22|)",
+    )
+    def test_small_b12_over_b22(self):
+        b22 = 0.8 - 0.1j
+        assert_recovers_delta(
+            CanonicalParams(0.3 - 0.2j, 0.5j), ((0.6, 1e-4 * b22), (-0.4 + 0.3j, b22))
+        )

@@ -22,3 +22,32 @@ def test_no_private_imports_across_modules():
                 if alias.name.startswith("_")
             ]
     assert not offenders
+
+
+def _raised_names(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised():
+    # A class counts as raised when it or one of its subclasses is.
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    live = set()
+    for path in PACKAGE.glob("*.py"):
+        live |= _raised_names(ast.parse(path.read_text(), filename=str(path))) & set(bases)
+    frontier = set(live)
+    while frontier:
+        frontier = set().union(*(bases[name] for name in frontier)) & set(bases) - live
+        live |= frontier
+    assert sorted(set(bases) - live) == []

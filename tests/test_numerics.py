@@ -66,40 +66,50 @@ class TestContinuedLog:
             continued_log((1.0, -1.0))
 
 
+def ratio(root):
+    """The affine value x/w of a projective root (x, w)."""
+    x, w = root
+    return x / w
+
+
 class TestSolveQuadratic:
     def test_double_root(self):
         roots = solve_quadratic(1, 0, 0)
-        assert roots.first == roots.second == 0
-        assert not roots.linear_degenerate
+        assert roots.first == roots.second
+        assert roots.first[0] == 0 and roots.first[1] != 0
 
     def test_factored(self):
         roots = solve_quadratic(1, -3, 2)
-        assert roots.first == pytest.approx(1.0)
-        assert roots.second == pytest.approx(2.0)
+        assert sorted((ratio(roots.first).real, ratio(roots.second).real)) == pytest.approx(
+            [1.0, 2.0]
+        )
 
     def test_reference_inversion_coefficients(self):
-        # Quadratic arising in the first reference inversion; its roots are
-        # the two branch values of b21.
-        roots = solve_quadratic(-36.0, -48.0, -15.0)
-        assert roots.first == pytest.approx(-5 / 6, rel=1e-14)
-        assert roots.second == pytest.approx(-1 / 2, rel=1e-14)
+        # F2 of the first reference system, -2 c21 v1^2 + (2 c11 - c22) v1 v2
+        # + c12 v2^2 = 2 v1^2 + (20/3) v1 v2 + 2 v2^2: its roots are the
+        # slope -3 = b12/b22 of the invariant line and -1/3.
+        roots = solve_quadratic(2.0, 20 / 3, 2.0)
+        values = sorted(ratio(r).real for r in roots)
+        assert values[0] == pytest.approx(-3.0, rel=1e-14)
+        assert values[1] == pytest.approx(-1 / 3, rel=1e-14)
 
     def test_linear_degenerate(self):
+        # a vanishing leading coefficient puts one root at infinity
         roots = solve_quadratic(0, 2, -3)
-        assert roots.linear_degenerate
-        assert roots.first == roots.second == pytest.approx(1.5)
+        at_infinity = [r for r in roots if r[1] == 0]
+        finite = [r for r in roots if r[1] != 0]
+        assert len(at_infinity) == 1 and at_infinity[0][0] != 0
+        assert ratio(finite[0]) == pytest.approx(1.5)
 
     def test_no_root(self):
-        with pytest.raises(NoRootError):
-            solve_quadratic(0, 0, 1)
+        # 0 x^2 + 0 x + 1 = 0 has no finite root: both roots are at infinity
+        roots = solve_quadratic(0, 0, 1)
+        for x, w in roots:
+            assert w == 0 and x != 0
 
     def test_all_roots(self):
         with pytest.raises(NoRootError, match="every value"):
             solve_quadratic(0, 0, 0)
-
-    def test_lexicographic_order(self):
-        roots = solve_quadratic(1, -2j, 2)  # roots are conjugate-ish pair
-        assert (roots.first.real, roots.first.imag) <= (roots.second.real, roots.second.imag)
 
     moderate = st.complex_numbers(
         min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False
@@ -109,9 +119,10 @@ class TestSolveQuadratic:
     @settings(max_examples=200)
     def test_residual_property(self, c2, c1, c0):
         roots = solve_quadratic(c2, c1, c0)
-        for r in (roots.first, roots.second):
-            residual = abs(c2 * r * r + c1 * r + c0)
-            scale = abs(c2) * abs(r) ** 2 + abs(c1) * abs(r) + abs(c0)
+        for x, w in roots:
+            assert max(abs(x), abs(w)) > 0
+            residual = abs(c2 * x * x + c1 * x * w + c0 * w * w)
+            scale = abs(c2) * abs(x) ** 2 + abs(c1) * abs(x * w) + abs(c0) * abs(w) ** 2
             assert residual <= EQ_TOL * max(scale, 1e-300)
 
 
