@@ -10,6 +10,7 @@ miss), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import random
@@ -213,10 +214,14 @@ def cmd_solve(args) -> int:
     )
     grid = _time_grid(args.t_end, args.t_step)
     band = 10.0 * spec.tol.sing_tol
+    sing = traj.t_singular
     rows = []
     skipped = []
     for t in grid:
-        if any(abs(t - ts) <= band * max(1.0, abs(ts)) for ts in traj.t_singular):
+        # The times whose band holds t form an interval that contains t, so
+        # the neighbours of t in the sorted list decide.
+        i = bisect.bisect_left(sing, t)
+        if any(abs(t - ts) <= band * max(1.0, abs(ts)) for ts in sing[max(i - 1, 0) : i + 1]):
             skipped.append(t)
             _notice(f"notice: t={_fmt(t)} inside a singular band, row skipped")
             continue
@@ -483,10 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:

@@ -120,7 +120,6 @@ class LiftedTrajectory:
 
     lifted: LiftedSystem
     decomposition: Decomposition
-    change: LinearChange
     canonical: CanonicalSolution
     z0: Pair
     x0: Pair
@@ -260,14 +259,13 @@ def solve_lifted(
     """
     z0 = (ensure_finite(z0[0], "z1(0)"), ensure_finite(z0[1], "z2(0)"))
     x0 = (z0[0] - ls.zbar[0], z0[1] - ls.zbar[1])
-    x0_prepared, dec, change, canonical = prepare(ls.base, x0, branch, tol)
+    x0_prepared, dec, canonical = prepare(ls.base, x0, branch, tol)
     if t_max is None:
         t_max = 10.0 / (1.0 + abs(ls.eta) + ls.base.max_abs() * max(abs(x0[0]), abs(x0[1])))
     sing = lifted_singular_times(canonical, ls.eta, t_max, tol)
     return LiftedTrajectory(
         lifted=ls,
         decomposition=dec,
-        change=change,
         canonical=canonical,
         z0=z0,
         x0=x0_prepared,
@@ -280,7 +278,7 @@ def eval_lifted(
 ) -> Pair:
     """State z(t) = exp(eta*t) x(warp(t)) + zbar at real time t."""
     return _eval_lifted_state(
-        traj.canonical, traj.change, traj.lifted.eta, traj.lifted.zbar, t, tol
+        traj.canonical, traj.decomposition.change, traj.lifted.eta, traj.lifted.zbar, t, tol
     )
 
 

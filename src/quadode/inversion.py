@@ -77,17 +77,22 @@ class ConstraintResiduals:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """One inversion branch: conjugacy matrix b, canonical parameters, delta.
+    """One inversion branch: the conjugacy x = b*y, canonical parameters, delta.
 
-    ``beta`` is the slope b12/b22 of the invariant line, None when b22 = 0
-    (to eq_tol relative to b12).
+    ``change`` is the linear change whose forward map reproduced the input
+    coefficients; ``b`` is its matrix.  ``beta`` is the slope b12/b22 of the
+    invariant line, None when b22 = 0 (to eq_tol relative to b12).
     """
 
     beta: complex | None
-    b: Mat2
+    change: LinearChange
     rho: CanonicalParams
     delta: complex
     branch: str  # "plus" (lexicographically first b21) or "minus"
+
+    @property
+    def b(self) -> Mat2:
+        return self.change.b
 
 
 @dataclass(frozen=True)
@@ -261,11 +266,10 @@ def decompose(
     candidates.sort(key=lambda c: (c[0][1][0].real, c[0][1][0].imag))  # by b21
 
     beta = None if abs(b22) <= tol.eq_tol * abs(b12) else b12 / b22
-    branches, changes = [], []
+    branches = []
     deviation = 0.0
     for label, (b, rho) in zip(("plus", "minus"), candidates):
         change = linear_change_from_b(b, tol)
-        changes.append(change)
         rebuilt = forward_map(rho, change)
         dev = max(abs(rebuilt.c[n][l] - sys.c[n][l]) for n in range(2) for l in range(3))
         deviation = max(deviation, dev / sys_scale)
@@ -275,10 +279,12 @@ def decompose(
                 f"(deviation {dev:.3e} vs scale {sys_scale:.3e})",
                 diagnostics=InversionDiagnostics(None, line_residual, deviation),
             )
-        branches.append(Decomposition(beta=beta, b=b, rho=rho, delta=delta, branch=label))
+        branches.append(
+            Decomposition(beta=beta, change=change, rho=rho, delta=delta, branch=label)
+        )
 
     plus, minus = branches
-    alpha = alpha_from_change(sys, changes[0])
+    alpha = alpha_from_change(sys, plus.change)
     return InversionResult(
         plus=plus, minus=minus, diagnostics=InversionDiagnostics(alpha, line_residual, deviation)
     )

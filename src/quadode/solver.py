@@ -12,7 +12,7 @@ from .canonical import (
 )
 from .inversion import Decomposition, decompose
 from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, ensure_finite
-from .transform import LinearChange, Pair, QuadraticSystem, linear_change_from_b, pull_state, push_state
+from .transform import Pair, QuadraticSystem, pull_state, push_state
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,6 @@ class ClosedFormTrajectory:
 
     system: QuadraticSystem
     decomposition: Decomposition
-    change: LinearChange
     canonical: CanonicalSolution
     x0: Pair
     t_singular: tuple[float, ...]
@@ -40,17 +39,16 @@ def _checked_x0(x0) -> Pair:
     return (ensure_finite(x0[0], "x1(0)"), ensure_finite(x0[1], "x2(0)"))
 
 
-def _solve_branch(dec: Decomposition, x0: Pair, tol: ToleranceConfig):
-    change = linear_change_from_b(dec.b, tol)
-    return change, solve_canonical(dec.rho, pull_state(change, x0), tol)
+def _solve_branch(dec: Decomposition, x0: Pair, tol: ToleranceConfig) -> CanonicalSolution:
+    return solve_canonical(dec.rho, pull_state(dec.change, x0), tol)
 
 
 def prepare(sys, x0, branch, tol):
-    """Checked x0, the branch's decomposition, its linear change and the
-    solved canonical problem: the common start of plain and lifted solves."""
+    """Checked x0, the branch's decomposition and the solved canonical
+    problem: the common start of plain and lifted solves."""
     x0 = _checked_x0(x0)
     dec = decompose(sys, tol).branch(branch)
-    return (x0, dec) + _solve_branch(dec, x0, tol)
+    return x0, dec, _solve_branch(dec, x0, tol)
 
 
 def solve_ivp(
@@ -66,13 +64,12 @@ def solve_ivp(
     case, not an error.  Singular times are reported up to ``t_max``
     (default: ``default_horizon``).
     """
-    x0, dec, change, canonical = prepare(sys, x0, branch, tol)
+    x0, dec, canonical = prepare(sys, x0, branch, tol)
     horizon = default_horizon(sys, x0) if t_max is None else t_max
     sing = singular_times(canonical, horizon, tol)
     return ClosedFormTrajectory(
         system=sys,
         decomposition=dec,
-        change=change,
         canonical=canonical,
         x0=x0,
         t_singular=tuple(sing),
@@ -83,7 +80,7 @@ def eval_trajectory(
     traj: ClosedFormTrajectory, t: float, tol: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> Pair:
     """State x(t) = b * y(t) at real time t."""
-    return push_state(traj.change, eval_canonical(traj.canonical, t, tol))
+    return push_state(traj.decomposition.change, eval_canonical(traj.canonical, t, tol))
 
 
 def first_singular_time(traj: ClosedFormTrajectory) -> float | None:
@@ -103,13 +100,12 @@ def branch_equivalence_check(
     max |x_plus - x_minus| / (1 + |x_plus|) (max-component norm).
     """
     x0 = _checked_x0(x0)
-    (plus_change, plus), (minus_change, minus) = (
-        _solve_branch(dec, x0, tol) for dec in decompose(sys, tol).branches
-    )
+    plus, minus = decompose(sys, tol).branches
+    plus_sol, minus_sol = _solve_branch(plus, x0, tol), _solve_branch(minus, x0, tol)
     worst = 0.0
     for t in t_samples:
-        xp = push_state(plus_change, eval_canonical(plus, t, tol))
-        xm = push_state(minus_change, eval_canonical(minus, t, tol))
+        xp = push_state(plus.change, eval_canonical(plus_sol, t, tol))
+        xm = push_state(minus.change, eval_canonical(minus_sol, t, tol))
         diff = max(abs(xp[0] - xm[0]), abs(xp[1] - xm[1]))
         norm = 1.0 + max(abs(xp[0]), abs(xp[1]))
         worst = max(worst, diff / norm)

@@ -88,38 +88,18 @@ class LinearChange:
     det_b: complex
 
 
-def _det2(m: Mat2) -> complex:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _check_invertible(m: Mat2, name: str, tol: ToleranceConfig) -> complex:
-    det = _det2(m)
-    scale = abs(m[0][0] * m[1][1]) + abs(m[0][1] * m[1][0])
-    if abs(det) <= tol.eq_tol * scale or scale == 0.0:
-        raise NonInvertibleChangeError(f"{name} has a numerically vanishing determinant")
-    return det
-
-
 def linear_change_from_b(b, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearChange:
     """Build the change of variables from the x = b*y matrix."""
     b = _coerce_matrix(b, (2, 2), "b")
-    det_b = _check_invertible(b, "b", tol)
+    det_b = b[0][0] * b[1][1] - b[0][1] * b[1][0]
+    scale = abs(b[0][0] * b[1][1]) + abs(b[0][1] * b[1][0])
+    if abs(det_b) <= tol.eq_tol * scale or scale == 0.0:
+        raise NonInvertibleChangeError("b has a numerically vanishing determinant")
     a: Mat2 = (
         (b[1][1] / det_b, -b[0][1] / det_b),
         (-b[1][0] / det_b, b[0][0] / det_b),
     )
     return LinearChange(a=a, b=b, det_a=1.0 / det_b, det_b=det_b)
-
-
-def linear_change_from_a(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearChange:
-    """Build the change of variables from the y = a*x matrix."""
-    a = _coerce_matrix(a, (2, 2), "a")
-    det_a = _check_invertible(a, "a", tol)
-    b: Mat2 = (
-        (a[1][1] / det_a, -a[0][1] / det_a),
-        (-a[1][0] / det_a, a[0][0] / det_a),
-    )
-    return LinearChange(a=a, b=b, det_a=det_a, det_b=1.0 / det_a)
 
 
 def forward_map(p: CanonicalParams, ch: LinearChange) -> QuadraticSystem:

@@ -2,10 +2,12 @@
 
 import json
 import math
+import time
 
 import pytest
 
-from quadode import eval_trajectory, solve_ivp
+from quadode import QuadraticSystem, eval_trajectory, solve_ivp
+from quadode import cli
 from quadode.cli import main
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
 
@@ -109,6 +111,27 @@ class TestSolve:
         assert all(
             any(abs(t - ts) < 1e-6 for ts in doc["singular_times"]) for t in skipped
         )
+
+    @pytest.mark.parametrize("sing_tol", [1e-9, 1e-5])
+    def test_band_skip_with_many_singular_times(self, tmp_path, capsys, sing_tol):
+        # canonical rho2 = 0.5, delta = 3000i: 3298 singular times below t = 0.999
+        sys = QuadraticSystem(((1, 0, 0), ((0.25 + 3000**2) / 4, 0.5, 1)))
+        spec = str(write_spec(tmp_path / "d3000.json", sys, x0=(1, 0.3)))
+        argv = ["solve", spec, "--t-end", "0.999", "--t-step", "0.001", "--format", "doc"]
+        start = time.perf_counter()
+        assert main(argv + ["--sing-tol", str(sing_tol)]) == 0
+        elapsed = time.perf_counter() - start
+        doc = json.loads(capsys.readouterr().out)
+        sing = doc["singular_times"]
+        assert len(sing) > 3000
+        assert len(doc["rows"]) + len(doc["skipped"]) == 1000
+        # the linear scan of every singular time for every row
+        band = 10 * sing_tol
+        grid = [i * 0.001 for i in range(1000)]
+        assert doc["skipped"] == [
+            t for t in grid if any(abs(t - ts) <= band * max(1.0, abs(ts)) for ts in sing)
+        ]
+        assert elapsed < 0.5
 
     def test_canonical_spec_matches_closed_form(self, tmp_path, capsys):
         from quadode import CanonicalParams, CanonicalState, eval_canonical, solve_canonical
@@ -345,3 +368,18 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
+
+    def test_parser_built_once(self, spec1, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert main(["check", spec1]) == 0
+        assert main(["frobnicate"]) == 2
+        assert main(["check", spec1]) == 0
+        assert len(built) == 1

@@ -405,3 +405,17 @@ class TestHoleStrata:
         assert_recovers_delta(
             CanonicalParams(0.3 - 0.2j, 0.5j), ((0.6, 1e-4 * b22), (-0.4 + 0.3j, b22))
         )
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InternalConsistencyError,
+        reason="large coefficients reach the b12 = 0 gauge hole: the b11 = 1 branch "
+        "shears by about 1/|b12| and rho1 grows like the scale squared "
+        "(CHANGES.md, FOUND line on large coefficients)",
+    )
+    def test_large_coefficients(self):
+        # b / 1e4 gives coefficients of about 3e4 (median of 300 draws)
+        rng = random.Random(7)
+        for _ in range(25):
+            rho, b = sample_decomposition_data(rng)
+            assert_recovers_delta(rho, tuple(tuple(v / 1e4 for v in row) for row in b))

@@ -1,4 +1,5 @@
-"""Modules of the package import no private name from one another."""
+"""Modules of the package import no private name from one another, raise
+every error class they define, and export only names that have a caller."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import quadode
 
 PACKAGE = Path(quadode.__file__).parent
+BENCH = PACKAGE.parent.parent / "bench"
 
 
 def test_no_private_imports_across_modules():
@@ -51,3 +53,33 @@ def test_every_error_class_is_raised():
         frontier = set().union(*(bases[name] for name in frontier)) & set(bases) - live
         live |= frontier
     assert sorted(set(bases) - live) == []
+
+
+# Exported paper features that no module calls, each with its reason.
+EXPORTED_WITHOUT_CALLER = {
+    "canonical_rhs": "the canonical vector field; acceptance criterion 06 integrates it",
+    "normalize": "the joint rescaling to c11 = c23 = 1, a README feature of the paper",
+}
+
+
+def _loaded_names(tree) -> set[str]:
+    """Names and attributes that ``tree`` reads.  Imports, assignments and
+    the names of defined functions and classes are not reads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_caller():
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    sources += [path for path in BENCH.glob("*.py") if path.name != "test_bench.py"]
+    referenced = set()
+    for path in sources:
+        referenced |= _loaded_names(ast.parse(path.read_text(), filename=str(path)))
+    uncalled = set(quadode.__all__) - referenced - set(EXPORTED_WITHOUT_CALLER)
+    assert sorted(uncalled) == []
+    assert set(EXPORTED_WITHOUT_CALLER) <= set(quadode.__all__)

@@ -1,24 +1,33 @@
 """End-to-end closed-form solver: composition, golden trajectories, branches."""
 
+import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
 from quadode import (
     CanonicalParams,
     CanonicalState,
+    LiftParams,
     QuadraticSystem,
     SolutionCase,
     branch_equivalence_check,
     default_horizon,
     eval_canonical,
+    eval_lifted,
     eval_trajectory,
     first_singular_time,
     integrate,
+    lift,
+    linear_change_from_b,
+    push_state,
     solve_canonical,
     solve_ivp,
+    solve_lifted,
 )
+from quadode import extensions, solver
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, sample_solvable_system
 
 SQRT5 = math.sqrt(5.0)
@@ -211,3 +220,60 @@ class TestTrajectoryProperties:
                 diff = max(abs(got[0] - ref[0]), abs(got[1] - ref[1]))
                 worst = max(worst, diff / (1 + max(abs(got[0]), abs(got[1]))))
             assert worst <= 1e-6
+
+
+def count_change_builds(monkeypatch) -> list:
+    """Record every linear_change_from_b call made through any quadode module."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return linear_change_from_b(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quadode" and (
+            getattr(module, "linear_change_from_b", None) is linear_change_from_b
+        ):
+            monkeypatch.setattr(module, "linear_change_from_b", counting)
+    return calls
+
+
+def record_pushes(monkeypatch, module) -> list:
+    """Record the change passed to every push_state call made by ``module``."""
+    used = []
+
+    def recording(ch, y):
+        used.append(ch)
+        return push_state(ch, y)
+
+    monkeypatch.setattr(module, "push_state", recording)
+    return used
+
+
+class TestChangeBuiltOnce:
+    """decompose builds each branch's change once; solves reuse it."""
+
+    def test_solve_ivp(self, monkeypatch):
+        calls = count_change_builds(monkeypatch)
+        traj = solve_ivp(EXAMPLE1, (1, 1))
+        assert len(calls) == 2
+        assert "change" not in {f.name for f in dataclasses.fields(traj)}
+        used = record_pushes(monkeypatch, solver)
+        eval_trajectory(traj, 0.1)
+        assert len(used) == 1 and used[0] is traj.decomposition.change
+        assert traj.decomposition.b is traj.decomposition.change.b
+
+    def test_solve_lifted(self, monkeypatch):
+        lifted = lift(EXAMPLE3, LiftParams(zbar=(0.25, -0.1), eta=1j))
+        calls = count_change_builds(monkeypatch)
+        traj = solve_lifted(lifted, (0.26, -0.13), t_max=1.0)
+        assert len(calls) == 2
+        assert "change" not in {f.name for f in dataclasses.fields(traj)}
+        used = record_pushes(monkeypatch, extensions)
+        eval_lifted(traj, 0.5)
+        assert len(used) == 1 and used[0] is traj.decomposition.change
+
+    def test_branch_equivalence_check(self, monkeypatch):
+        calls = count_change_builds(monkeypatch)
+        assert branch_equivalence_check(EXAMPLE2, (1, 1), [0.01, 0.02]) <= 1e-8
+        assert len(calls) == 2

@@ -12,7 +12,6 @@ from quadode import (
     canonical_rhs,
     constraint_residuals,
     forward_map,
-    linear_change_from_a,
     linear_change_from_b,
     pull_state,
     push_state,
@@ -61,15 +60,18 @@ class TestLinearChange:
                 assert abs(got - want) <= 1e-12
             assert abs(ch.det_a * ch.det_b - 1) <= 1e-12
 
-    def test_rebuild_from_a_recovers_b(self):
+    def test_inverse_on_both_sides(self):
+        # a*b = 1, b*a = 1 and det_a*det_b = 1 on a second seed
         rng = random.Random(5)
         for _ in range(100):
             _, b = sample_decomposition_data(rng)
             ch = linear_change_from_b(b)
-            back = linear_change_from_a(ch.a)
-            for i in range(2):
-                for j in range(2):
-                    assert abs(back.b[i][j] - b[i][j]) <= 1e-12 * (1 + abs(b[i][j]))
+            for left, right in ((ch.a, ch.b), (ch.b, ch.a)):
+                for i in range(2):
+                    for j in range(2):
+                        got = left[i][0] * right[0][j] + left[i][1] * right[1][j]
+                        assert abs(got - (i == j)) <= 1e-12
+            assert abs(ch.det_a * ch.det_b - 1) <= 1e-12
 
 
 class TestForwardMap:
