@@ -60,7 +60,6 @@ from .numerics import (
     QuadraticRoots,
     ToleranceConfig,
     approx_rational,
-    continued_log,
     solve_quadratic,
 )
 from .oracle import (
@@ -129,7 +128,6 @@ __all__ = [
     "canonical_rhs",
     "compare_trajectories",
     "constraint_residuals",
-    "continued_log",
     "decompose",
     "default_horizon",
     "eval_canonical",

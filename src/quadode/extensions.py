@@ -8,6 +8,10 @@ right-hand side that inherits closed-form solvability.  For eta = i*omega
 and a rational power exponent the lifted flow is periodic: every solution
 returns after the warped time traverses its circle enough times for the
 continued power to come back to its starting branch.
+
+Evaluation continues log s along the warped path s(t) = 1 - y1(0)*warp(t)
+in closed form (``_warp_log``), at a cost that does not depend on t; only
+the singular-time enumeration walks the path, once per solve.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .numerics import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     approx_rational,
-    continued_log,
     ensure_finite,
     log_increment,
 )
@@ -200,7 +203,9 @@ def _warp_path(y_ref: complex, eta: complex, t: float) -> tuple[list[float], lis
 
     Sampling is refined adaptively with midpoints of the true curve wherever
     consecutive waypoints turn too far around the origin, so continuation
-    along the polyline tracks the curve even on close approaches.
+    along the polyline tracks the curve even on close approaches.  Only
+    ``lifted_singular_times`` walks it, to bound the log targets near the
+    path; evaluation uses the closed form of ``_warp_log``.
     """
     n = max(8, int(math.ceil(16.0 * abs(eta) * abs(t))))
     taus = [t * j / n for j in range(n + 1)]
@@ -221,6 +226,78 @@ def _warp_path(y_ref: complex, eta: complex, t: float) -> tuple[list[float], lis
     return taus, points
 
 
+def _warp_log(y10: complex, eta: complex, t: float, sing_tol: float) -> tuple[complex, complex]:
+    """s = 1 - y10*warp(t) and its logarithm, continued along the warped path
+    from log s(0) = 0, in closed form: the cost does not depend on t.
+
+    With r = y10/eta and c = 1 + r, s(tau) = c - E(tau), E(tau) = r*exp(eta*tau).
+    Where |E| < |c|, Re(s/c) > 0 and log s = K_in + Log(s/c); where |E| > |c|,
+    Re(-s/E) > 0 and log s = K_out + eta*tau + Log(-s/E), Log principal.  |E|
+    is monotone, so [0, t] crosses |E| = |c| at most once, at
+    tau* = ln(|c|/|r|)/Re(eta); log s(0) = 0 and continuity at tau* fix the
+    constants.  For eta = i*omega nothing is crossed: each period 2*pi/|omega|
+    adds 2*pi*i*sign(omega) when |r| > |c| and nothing otherwise.  eta = 0 is
+    the straight path, whose continued logarithm is principal.
+
+    Raises SingularPointError when s passes within eval_canonical_general's
+    pole test of 0 before t; s at t itself is left to that test.
+    """
+    s = 1.0 - y10 * time_warp(eta, t)
+    if eta == 0:
+        log_s, passes = cmath.log(s), [(1.0 / y10).real]  # s vanishes at t = 1/y10
+    else:
+        r = y10 / eta
+        c = 1.0 + r
+
+        def local_log(tau: float, s_tau: complex, outside: bool) -> complex:
+            # a logarithm of s(tau), continuous on its side of |E| = |c|
+            if outside:
+                return eta * tau + cmath.log(-s_tau / (r * cmath.exp(eta * tau)))
+            return cmath.log(s_tau / c)
+
+        if eta.real != 0 and c != 0:
+            tau_star = math.log(abs(c) / abs(r)) / eta.real
+            outside = tau_star <= 0 if eta.real > 0 else tau_star > 0  # just after 0
+        else:
+            tau_star, outside = math.inf, abs(r) > abs(c)
+        log_s = -local_log(0.0, 1.0 + 0.0j, outside)
+        if 0 < tau_star < t:
+            s_star = 1.0 - y10 * time_warp(eta, tau_star)
+            log_s += local_log(tau_star, s_star, outside)
+            outside = not outside
+            log_s -= local_log(tau_star, s_star, outside)
+        log_s += local_log(t, s, outside)
+        passes = _nearest_zeros(cmath.log(c / r) / eta, _TWO_PI * 1j / eta, t) if c != 0 else []
+    # On the real axis |s| is least near the real parts of its zeros, to
+    # first order in their distance from the axis.
+    for tau in passes:
+        w = y10 * time_warp(eta, tau)
+        if 0 < tau < t and abs(1.0 - w) <= sing_tol * (1.0 + abs(w)):
+            raise SingularPointError(
+                "pole of y1: the warped path passes within tolerance of 1 - y1(0) t = 0",
+                factor="1 - y1(0) t",
+                t=tau,
+            )
+    return s, log_s
+
+
+def _nearest_zeros(first: complex, step: complex, t: float) -> list[float]:
+    """Real parts in [0, t] of the points first + m*step, m an integer, that
+    lie nearest the real axis."""
+    if step.real != 0:
+        ends = sorted((-first.real / step.real, (t - first.real) / step.real))
+        lo, hi = math.ceil(ends[0]), math.floor(ends[1])
+        if lo > hi:
+            return []
+    elif 0 <= first.real <= t:
+        lo, hi = -math.inf, math.inf
+    else:
+        return []
+    m0 = min(max(-first.imag / step.imag, lo), hi) if step.imag != 0 else lo
+    ms = {min(max(m, lo), hi) for m in (math.floor(m0), math.ceil(m0))}
+    return [(first + m * step).real for m in ms]
+
+
 def _eval_lifted_state(
     sol: CanonicalSolution,
     change: LinearChange,
@@ -231,9 +308,7 @@ def _eval_lifted_state(
 ) -> Pair:
     tau = time_warp(eta, t)
     if sol.case in (SolutionCase.GENERIC, SolutionCase.DELTA_ZERO):
-        path = _warp_path(sol.y10, eta, t)[1]
-        log_s = continued_log(path, tol.sing_tol)
-        s = path[-1]
+        s, log_s = _warp_log(sol.y10, eta, t, tol.sing_tol)
     else:
         s = 1.0 - sol.y10 * tau
         log_s = 0.0 + 0.0j
@@ -276,7 +351,12 @@ def solve_lifted(
 def eval_lifted(
     traj: LiftedTrajectory, t: float, tol: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> Pair:
-    """State z(t) = exp(eta*t) x(warp(t)) + zbar at real time t."""
+    """State z(t) = exp(eta*t) x(warp(t)) + zbar at real time t.
+
+    The cost does not depend on t.  Raises SingularPointError at a pole and
+    at every t past a point where the warped path 1 - y1(0)*warp came within
+    the pole test of 0.
+    """
     return _eval_lifted_state(
         traj.canonical, traj.decomposition.change, traj.lifted.eta, traj.lifted.zbar, t, tol
     )
@@ -309,7 +389,8 @@ def lifted_singular_times(
     Targets are enumerated near the walk along the warped path, which stops
     at the first pole and is then followed into the pole's band; their
     candidate times come from exact inversion of the warp, and each candidate
-    is confirmed by walking the path.
+    is confirmed by the closed-form continued logarithm at that time, which
+    also drops candidates the path reaches only past a pole.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -343,7 +424,7 @@ def lifted_singular_times(
             warp_value = 1.0 + eta * (1.0 - cmath.exp(lam)) / sol.y10
             for tc in real_times(_warp_times(warp_value, eta, t_max), t_max):
                 try:
-                    log_val = continued_log(_warp_path(sol.y10, eta, tc)[1], tol.sing_tol)
+                    log_val = _warp_log(sol.y10, eta, tc, tol.sing_tol)[1]
                 except SingularPointError:
                     continue  # an earlier pole dominates this candidate
                 if abs(log_val - lam) <= 1e-6 * (1.0 + abs(lam)):

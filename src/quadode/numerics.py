@@ -1,5 +1,5 @@
-"""Complex scalar utilities: tolerance policy, continued logarithms,
-quadratic roots, and rational recognition.
+"""Complex scalar utilities: tolerance policy, the logarithm increment along
+a chord, quadratic roots, and rational recognition.
 
 All routines work on plain ``complex`` values and are pure functions.
 """
@@ -10,7 +10,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import NoRootError, SingularPointError
 
@@ -69,28 +69,6 @@ def log_increment(a: complex, b: complex, sing_tol: float) -> complex:
             factor="log path",
         )
     return cmath.log(b / a)
-
-
-def continued_log(path: Sequence[complex], sing_tol: float = DEFAULT_TOLERANCES.sing_tol) -> complex:
-    """Logarithm at ``path[-1]`` continued along the polyline ``path``.
-
-    Continuation starts from the principal value at ``path[0]``.  Consecutive
-    waypoints are joined by straight segments; the caller must sample curved
-    paths densely enough that the polyline is homotopic to the true path in
-    the punctured plane.
-    """
-    if len(path) == 0:
-        raise ValueError("path must contain at least one point")
-    start = complex(path[0])
-    if abs(start) == 0.0:
-        raise SingularPointError("continuation path starts at 0", factor="log path")
-    total = cmath.log(start)
-    prev = start
-    for raw in path[1:]:
-        point = complex(raw)
-        total += log_increment(prev, point, sing_tol)
-        prev = point
-    return total
 
 
 class QuadraticRoots(NamedTuple):

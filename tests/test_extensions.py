@@ -1,5 +1,6 @@
 """Rescaling, the exponential lift, and isochrony."""
 
+import cmath
 import math
 import random
 import time
@@ -14,6 +15,8 @@ from quadode import (
     LiftParams,
     QuadraticSystem,
     ScalingParams,
+    SingularPointError,
+    SolutionCase,
     ToleranceConfig,
     constraint_residuals,
     decompose,
@@ -34,6 +37,9 @@ from quadode import (
     solve_lifted,
     time_warp,
 )
+from quadode.canonical import eval_canonical_general
+from quadode.extensions import _warp_log, _warp_path
+from quadode.numerics import log_increment
 from conftest import ALL_EXAMPLES, EXAMPLE1, EXAMPLE2, EXAMPLE3, sample_solvable_system
 
 
@@ -202,6 +208,112 @@ class TestTimeWarp:
             assert abs(abs(tau - 1j) - 1.0) <= 1e-12
 
 
+def walked_log(y10, eta, t, sing_tol=1e-9):
+    """s(t) and log s(t) continued chord by chord along the warped path."""
+    path = _warp_path(y10, eta, t)[1]
+    return path[-1], sum((log_increment(a, b, sing_tol) for a, b in zip(path, path[1:])), 0j)
+
+
+def rel_log_error(got, want):
+    return abs(got - want) / (1.0 + abs(want))
+
+
+def near_miss(eta, tau0, miss):
+    """y1(0) whose warped path passes 0 at distance ~miss near t = tau0."""
+    y10 = 1.0 / time_warp(eta, tau0)
+    velocity = -y10 * cmath.exp(eta * tau0)  # ds/dt at the pass
+    return (1.0 - 1j * miss * velocity / abs(velocity)) / time_warp(eta, tau0)
+
+
+class TestWarpLog:
+    """The closed-form continued log of s = 1 - y1(0)*warp(t) against a
+    dense chord-by-chord walk along the same path."""
+
+    @staticmethod
+    def sample_path(rng, stratum):
+        """(y1(0), eta, t) of one stratum, or None when the draw misses it."""
+        disc = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        if stratum.startswith("winding"):  # eta = i*omega, r = y1(0)/eta in a disc
+            eta = 1j * rng.choice((-1, 1)) * rng.uniform(0.3, 2.0)
+            r = 2.0 * cmath.rect(math.sqrt(rng.random()), rng.uniform(0, 2 * math.pi))
+            winding = 1 if abs(r) > abs(1 + r) else 0
+            return (r * eta, eta, rng.uniform(0.0, 30.0)) if stratum[-1] == str(winding) else None
+        if stratum == "crossing":  # Re eta != 0, |E| = |c| crossed inside (0, t)
+            eta = complex(rng.choice((-1, 1)) * rng.uniform(0.1, 1.0), rng.uniform(-2.0, 2.0))
+            t, r = rng.uniform(0.0, 5.0), disc / eta
+            tau_star = math.log(abs(1 + r) / abs(r)) / eta.real
+            return (disc, eta, t) if 0 < tau_star < t else None
+        if stratum == "small eta":
+            return disc, 1e-3 * cmath.exp(1j * rng.uniform(0, 2 * math.pi)), rng.uniform(0.0, 30.0)
+        return disc, 0j, rng.uniform(0.0, 30.0)
+
+    @pytest.mark.parametrize("stratum", ["winding 0", "winding 1", "crossing", "small eta", "eta 0"])
+    def test_matches_dense_walk(self, stratum):
+        rng = random.Random(f"warp-log/{stratum}")
+        done, worst = 0, 0.0
+        while done < 400:
+            draw = self.sample_path(rng, stratum)
+            if draw is None:
+                continue
+            path = _warp_path(*draw)[1]
+            if min(abs(p) for p in path) < 1e-3:
+                continue  # keep clear of the pole: near passes are tested below
+            s_walk, log_walk = walked_log(*draw)
+            s, log_s = _warp_log(*draw, 1e-9)
+            assert abs(s - s_walk) <= 1e-13 * abs(s_walk)
+            worst = max(worst, rel_log_error(log_s, log_walk))
+            done += 1
+        assert worst <= 1e-12
+
+    def test_delta_zero_solution(self):
+        # delta = 0: the logarithmic ratio, fed the closed-form and the walked log
+        rho2 = 0.3 - 0.2j
+        sol = solve_canonical(
+            CanonicalParams((1 - rho2) ** 2 / 4, rho2), CanonicalState(0.4 + 0.3j, -0.2 + 0.5j)
+        )
+        assert sol.case is SolutionCase.DELTA_ZERO
+        for eta in (1j, -0.7j, 0.4 + 1.1j, -0.5 + 0.3j, 1e-3j, 0j):
+            for t in (0.5, 3.0, 17.0):
+                tau = time_warp(eta, t)
+                try:
+                    want = eval_canonical_general(sol, tau, *walked_log(sol.y10, eta, t))
+                except SingularPointError:
+                    continue
+                got = eval_canonical_general(sol, tau, *_warp_log(sol.y10, eta, t, 1e-9))
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-12 * (1 + abs(w))
+
+    @pytest.mark.parametrize("omega", [0.8, -1.3])
+    def test_winding_per_period(self, omega):
+        # for eta = i*omega one period adds 2*pi*i*sign(omega) exactly when
+        # |1 + y1(0)/(i*omega)| < |y1(0)/omega|
+        eta, period = 1j * omega, 2 * math.pi / abs(omega)
+        for r in (0.3, -0.4 + 0.2j, -0.6, -1.5 - 0.5j, 2.0j):
+            y10 = r * eta
+            winding = 1 if abs(1 + r) < abs(r) else 0
+            step = _warp_log(y10, eta, 0.4 + period, 1e-9)[1] - _warp_log(y10, eta, 0.4, 1e-9)[1]
+            assert abs(step - 2j * math.pi * winding * math.copysign(1, omega)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "eta", [1j, -0.6j, 0.3 + 0.8j, -0.4 - 1.2j, 0j], ids=["i", "-0.6i", "0.3+0.8i", "-0.4-1.2i", "0"]
+    )
+    def test_near_pole(self, eta):
+        # a pass within the pole test of 0 raises for every later t; a pass
+        # at 1e-5 is continued like the walk
+        tau0 = 1.7
+        close = near_miss(eta, tau0, 1e-13)
+        assert abs(_warp_log(close, eta, tau0, 1e-9)[0]) <= 2e-13
+        s_walk, log_walk = walked_log(close, eta, 0.9 * tau0)
+        assert rel_log_error(_warp_log(close, eta, 0.9 * tau0, 1e-9)[1], log_walk) <= 1e-12
+        for t in (1.01 * tau0, 2 * tau0, 5 * tau0):
+            with pytest.raises(SingularPointError):
+                _warp_log(close, eta, t, 1e-9)
+        clear = near_miss(eta, tau0, 1e-5)
+        for t in (0.9 * tau0, 1.01 * tau0, 2 * tau0, 5 * tau0):
+            s_walk, log_walk = walked_log(clear, eta, t)
+            assert rel_log_error(_warp_log(clear, eta, t, 1e-9)[1], log_walk) <= 1e-12
+
+
 class TestSolveLifted:
     def test_degenerate_lift_equals_plain_solver(self):
         lifted = lift(EXAMPLE2, LiftParams(zbar=(0, 0), eta=0))
@@ -298,6 +410,22 @@ class TestSolveLifted:
         )
         assert z_dev <= 1e-9
 
+    def test_eval_past_near_pole_raises(self):
+        # the lifted flow whose warped path passes 1e-13 from the y1 pole
+        # raises at every later time, not only at the pass
+        eta = 0.3 + 0.8j
+        lifted = lift(EXAMPLE2, LiftParams(zbar=(0.1, -0.2), eta=eta))
+        ch = linear_change_from_b(decompose(EXAMPLE2).plus.b)
+        (b11, b12), (b21, b22) = ch.b
+        y0 = (near_miss(eta, 0.6, 1e-13), 0.2 + 0.1j)
+        z0 = (b11 * y0[0] + b12 * y0[1] + 0.1, b21 * y0[0] + b22 * y0[1] - 0.2)
+        traj = solve_lifted(lifted, z0, t_max=2.0)
+        assert abs(traj.canonical.y10 - y0[0]) <= 1e-12 * abs(y0[0])
+        eval_lifted(traj, 0.5)
+        for t in (0.7, 1.5):
+            with pytest.raises(SingularPointError):
+                eval_lifted(traj, t)
+
 
 class TestIsochrony:
     def test_third_reference_is_isochronous(self):
@@ -349,11 +477,30 @@ class TestIsochrony:
             dev = periodicity_deviation(traj, report.period)
             assert dev <= 1e-6
 
-    def test_multi_turn_winding_orbit(self):
-        # initial data chosen so the warped base path winds around the
-        # power's branch point: one turn flips the value (exponent 3/2),
-        # two turns restore it, and the oracle confirms the crossings
+    def test_late_evaluation_costs_no_more(self):
+        # eval_lifted continues log s in closed form: at 0.3 P + n P it equals
+        # its value at 0.3 P, and takes no longer, for n up to 10^4
         report = isochrony_check(EXAMPLE3, 1.0)
+        traj = solve_lifted(*self.two_turn_orbit(), t_max=report.period)
+        period = report.period
+        z_ref = eval_lifted(traj, 0.3 * period)
+        for n in (100, 10**4):
+            t = 0.3 * period + n * period
+            z = eval_lifted(traj, t)
+            for a, b in zip(z, z_ref):
+                assert abs(a - b) <= 1e-9 * (1 + abs(b))
+            fastest = math.inf
+            for _ in range(5):
+                start = time.perf_counter()
+                eval_lifted(traj, t)
+                fastest = min(fastest, time.perf_counter() - start)
+            assert fastest < 1e-3
+
+    @staticmethod
+    def two_turn_orbit():
+        """The lift of EXAMPLE3 with eta = i and z(0) whose warped base path
+        winds once around the power's branch point per turn, two turns per
+        period."""
         lifted = lift(EXAMPLE3, LiftParams(zbar=(0.25, -0.1), eta=1j))
         ch = linear_change_from_b(decompose(EXAMPLE3).plus.b)
         (a11, a12), (a21, a22) = ch.a
@@ -363,7 +510,14 @@ class TestIsochrony:
             (a22 * target[0] - a12 * target[1]) / det,
             (-a21 * target[0] + a11 * target[1]) / det,
         )
-        z0 = (x0[0] + lifted.zbar[0], x0[1] + lifted.zbar[1])
+        return lifted, (x0[0] + lifted.zbar[0], x0[1] + lifted.zbar[1])
+
+    def test_multi_turn_winding_orbit(self):
+        # initial data chosen so the warped base path winds around the
+        # power's branch point: one turn flips the value (exponent 3/2),
+        # two turns restore it, and the oracle confirms the crossings
+        report = isochrony_check(EXAMPLE3, 1.0)
+        lifted, z0 = self.two_turn_orbit()
         period = report.period
         traj = solve_lifted(lifted, z0, t_max=period)
         assert not traj.t_singular

@@ -1,4 +1,4 @@
-"""Scalar numerics: continued logarithms, quadratic roots, rational recognition."""
+"""Scalar numerics: logarithm increments, quadratic roots, rational recognition."""
 
 import cmath
 import math
@@ -13,9 +13,9 @@ from quadode import (
     SingularPointError,
     ToleranceConfig,
     approx_rational,
-    continued_log,
     solve_quadratic,
 )
+from quadode.numerics import log_increment
 
 EQ_TOL = 1e-12
 
@@ -26,18 +26,25 @@ def circle_path(windings: float, points_per_turn: int = 24) -> list[complex]:
     return [cmath.exp(2j * math.pi * windings * k / n) for k in range(n + 1)]
 
 
+def summed_increments(path, sing_tol=1e-9) -> complex:
+    """Logarithm at path[-1] continued along the polyline from log path[0] = 0."""
+    return sum((log_increment(a, b, sing_tol) for a, b in zip(path, path[1:])), 0j)
+
+
 class TestContinuedLog:
+    """Continuation of the logarithm by chord increments, as the lifted
+    flow's singular-time walk uses them."""
+
     @pytest.mark.parametrize("windings", [1, 2, -1])
     def test_winding_shifts_branch(self, windings):
         # Stepwise continuation around the unit circle must differ from the
         # principal value by 2*pi*i*windings.
         path = circle_path(windings)
         expected = cmath.log(path[-1]) + 2j * math.pi * windings
-        assert abs(continued_log(path) - expected) <= 1e-10
+        assert abs(summed_increments(path) - expected) <= 1e-10
 
     def test_winding_number(self):
-        path = circle_path(3)
-        value = continued_log(path)
+        value = summed_increments(circle_path(3))
         assert abs(value - 6j * math.pi * 1.0) <= 1e-9
 
     @given(
@@ -47,9 +54,9 @@ class TestContinuedLog:
     @settings(max_examples=200)
     def test_straight_path_powers_match_repeated_multiplication(self, base, k):
         # the segment from 1 to base must stay clear of 0; along it the
-        # continued log is principal, so integer powers are exact products
+        # increment is the principal log, so integer powers are exact products
         assume(abs(base.imag) > 1e-6 or base.real > 1e-6)
-        value = cmath.exp(k * continued_log((1.0, base)))
+        value = cmath.exp(k * log_increment(1.0, base, 1e-9))
         direct = 1.0 + 0.0j
         for _ in range(abs(k)):
             direct *= base
@@ -59,11 +66,14 @@ class TestContinuedLog:
 
     def test_start_at_zero_raises(self):
         with pytest.raises(SingularPointError):
-            continued_log((0.0, 1.0))
+            log_increment(0.0, 1.0, 1e-9)
 
     def test_path_through_zero_raises(self):
         with pytest.raises(SingularPointError):
-            continued_log((1.0, -1.0))
+            log_increment(1.0, -1.0, 1e-9)
+        # a chord that misses 0 by less than sing_tol of its length also raises
+        with pytest.raises(SingularPointError):
+            summed_increments((1.0, 1e-12j - 1.0))
 
 
 def ratio(root):
