@@ -17,8 +17,9 @@ dm = u(0) - u-, dp = u(0) - u+: a lattice affine in k.  One enumerator,
 ``denominator_log_targets``, lists the targets near the log image of a path
 given by waypoints, splitting boxes until each holds few lattice indices; the
 real flow (``singular_times``, a straight path) and the lifted flow (in
-``extensions``, the warped-time walk) differ only in the path they pass and
-in how a target becomes a time.  ``real_times`` filters, sorts and merges the
+``extensions``, waypoints along the warped path, each with its logarithm in
+closed form) differ only in the path they pass and in how a target becomes a
+time.  ``real_times`` filters, sorts and merges the
 candidate times of both.
 """
 

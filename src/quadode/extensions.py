@@ -9,9 +9,10 @@ and a rational power exponent the lifted flow is periodic: every solution
 returns after the warped time traverses its circle enough times for the
 continued power to come back to its starting branch.
 
-Evaluation continues log s along the warped path s(t) = 1 - y1(0)*warp(t)
-in closed form (``_warp_log``), at a cost that does not depend on t; only
-the singular-time enumeration walks the path, once per solve.
+Evaluation and the singular-time enumeration take log s along the warped
+path s(t) = 1 - y1(0)*warp(t) from one closed form (``_WarpLog``):
+evaluation costs the same at any t, and the enumeration bounds its log
+targets with about eight waypoints per turn of the path, once per solve.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .numerics import (
     ToleranceConfig,
     approx_rational,
     ensure_finite,
-    log_increment,
 )
 from .solver import prepare
 from .transform import LinearChange, Pair, QuadraticSystem, push_state
@@ -191,94 +191,123 @@ def time_warp(eta: complex, t: float) -> complex:
 
 def _needs_split(a: complex, b: complex) -> bool:
     # split when the chord subtends more than ~pi/4 at the origin or the
-    # radial move is large; keeps the polyline homotopic to the true curve
-    if a == 0 or b == 0:
-        return False  # let the continuation's clearance check raise
+    # radial move is large, so log s between two waypoints stays near the box
+    # of their logarithms
     ratio = b / a
     return ratio.real <= 0.0 or abs(ratio.imag) > ratio.real or abs(ratio - 1.0) > 0.75
 
 
-def _warp_path(y_ref: complex, eta: complex, t: float) -> tuple[list[float], list[complex]]:
-    """Parameters tau in [0, t] and waypoints 1 - y_ref * warp(tau).
+class _WarpLog:
+    """s = 1 - y10*warp(tau) and its logarithm, continued along the warped
+    path from log s(0) = 0, in closed form: the cost does not depend on tau.
 
-    Sampling is refined adaptively with midpoints of the true curve wherever
-    consecutive waypoints turn too far around the origin, so continuation
-    along the polyline tracks the curve even on close approaches.  Only
-    ``lifted_singular_times`` walks it, to bound the log targets near the
-    path; evaluation uses the closed form of ``_warp_log``.
+    With r = y10/eta and c = 1 + r, s(tau) = c - E(tau), E(tau) = r*exp(eta*tau):
+    a logarithmic spiral about c, a circle when eta = i*omega.  Where
+    |E| < |c|, Re(s/c) > 0 and log s = K_in + Log(s/c); where |E| > |c|,
+    Re(-s/E) > 0 and log s = K_out + eta*tau + Log(-s/E), Log principal.  |E|
+    is monotone, so [0, tau] crosses |E| = |c| at most once, at
+    tau* = ln(|c|/|r|)/Re(eta); log s(0) = 0 fixes the constant before tau*,
+    and continuity at tau* the one after it, which is built only when a later
+    tau asks for it (on a real path the pole sits at tau*, where s = 0).  For
+    eta = i*omega nothing is crossed: each period 2*pi/|omega| adds
+    2*pi*i*sign(omega) when |r| > |c| and nothing otherwise.  eta = 0 is the
+    straight path, whose continued logarithm is principal.
     """
-    n = max(8, int(math.ceil(16.0 * abs(eta) * abs(t))))
-    taus = [t * j / n for j in range(n + 1)]
-    points = [1.0 - y_ref * time_warp(eta, tau) for tau in taus]
-    for _ in range(24):
-        new_taus: list[float] = []
-        refined = False
-        for j in range(len(points) - 1):
-            new_taus.append(taus[j])
-            if _needs_split(points[j], points[j + 1]):
-                new_taus.append(0.5 * (taus[j] + taus[j + 1]))
-                refined = True
-        new_taus.append(taus[-1])
-        if not refined:
-            break
-        taus = new_taus
-        points = [1.0 - y_ref * time_warp(eta, tau) for tau in taus]
-    return taus, points
+
+    __slots__ = ("y10", "eta", "r", "c", "tau_star", "outside", "k_before", "k_after")
+
+    def __init__(self, y10: complex, eta: complex):
+        self.y10, self.eta = y10, eta
+        self.tau_star, self.outside, self.k_before, self.k_after = math.inf, False, 0j, None
+        if eta == 0:
+            return
+        self.r = y10 / eta
+        self.c = 1.0 + self.r
+        if eta.real != 0 and self.c != 0:
+            self.tau_star = math.log(abs(self.c) / abs(self.r)) / eta.real
+            self.outside = self.tau_star <= 0 if eta.real > 0 else self.tau_star > 0  # just after 0
+        else:
+            self.outside = abs(self.r) > abs(self.c)
+        self.k_before = -self._local(0.0, 1.0 + 0.0j, self.outside)
+
+    def _local(self, tau: float, s: complex, outside: bool) -> complex:
+        # a logarithm of s(tau), continuous on its side of |E| = |c|
+        if outside:
+            return self.eta * tau + cmath.log(-s / (self.r * cmath.exp(self.eta * tau)))
+        return cmath.log(s / self.c)
+
+    def s(self, tau: float) -> complex:
+        return 1.0 - self.y10 * time_warp(self.eta, tau)
+
+    def __call__(self, tau: float) -> tuple[complex, complex]:
+        """s(tau) and its continued logarithm; s must not vanish at tau* < tau."""
+        s = self.s(tau)
+        if self.eta == 0:
+            return s, cmath.log(s)
+        if 0 < self.tau_star < tau:
+            if self.k_after is None:
+                s_star, tau_star = self.s(self.tau_star), self.tau_star
+                self.k_after = self.k_before + self._local(tau_star, s_star, self.outside)
+                self.k_after -= self._local(tau_star, s_star, not self.outside)
+            return s, self.k_after + self._local(tau, s, not self.outside)
+        return s, self.k_before + self._local(tau, s, self.outside)
+
+    def first_pass(self, t: float, sing_tol: float) -> float:
+        """The first time in (0, t) at which s comes within
+        eval_canonical_general's pole test of 0, or inf; s at t itself is
+        left to that test."""
+        if self.eta == 0:
+            passes = [(1.0 / self.y10).real]  # s vanishes at t = 1/y10
+        elif self.c != 0:
+            step = _TWO_PI * 1j / self.eta
+            passes = _nearest_zeros(cmath.log(self.c / self.r) / self.eta, step, t)
+        else:
+            return math.inf
+        # On the real axis |s| is least near the real parts of its zeros, to
+        # first order in their distance from the axis.
+        for tau in sorted(passes):
+            w = self.y10 * time_warp(self.eta, tau)
+            if 0 < tau < t and abs(1.0 - w) <= sing_tol * (1.0 + abs(w)):
+                return tau
+        return math.inf
 
 
 def _warp_log(y10: complex, eta: complex, t: float, sing_tol: float) -> tuple[complex, complex]:
-    """s = 1 - y10*warp(t) and its logarithm, continued along the warped path
-    from log s(0) = 0, in closed form: the cost does not depend on t.
+    """s(t) and log s(t) of ``_WarpLog``.  Raises SingularPointError when s
+    passes within eval_canonical_general's pole test of 0 before t."""
+    form = _WarpLog(y10, eta)
+    t_pass = form.first_pass(t, sing_tol)
+    if t_pass < t:
+        raise SingularPointError(
+            "pole of y1: the warped path passes within tolerance of 1 - y1(0) t = 0",
+            factor="1 - y1(0) t",
+            t=t_pass,
+        )
+    return form(t)
 
-    With r = y10/eta and c = 1 + r, s(tau) = c - E(tau), E(tau) = r*exp(eta*tau).
-    Where |E| < |c|, Re(s/c) > 0 and log s = K_in + Log(s/c); where |E| > |c|,
-    Re(-s/E) > 0 and log s = K_out + eta*tau + Log(-s/E), Log principal.  |E|
-    is monotone, so [0, t] crosses |E| = |c| at most once, at
-    tau* = ln(|c|/|r|)/Re(eta); log s(0) = 0 and continuity at tau* fix the
-    constants.  For eta = i*omega nothing is crossed: each period 2*pi/|omega|
-    adds 2*pi*i*sign(omega) when |r| > |c| and nothing otherwise.  eta = 0 is
-    the straight path, whose continued logarithm is principal.
 
-    Raises SingularPointError when s passes within eval_canonical_general's
-    pole test of 0 before t; s at t itself is left to that test.
+def _warp_path(form: _WarpLog, t: float) -> tuple[list[float], list[complex]]:
+    """Parameters tau in [0, t] and the logarithms of s at them.
+
+    Eight chords per turn or per e-fold of E = r*exp(eta*tau), so at most
+    pi/4 of |eta| tau each, are split at midpoints of the true curve, up to 24
+    times, wherever consecutive waypoints turn too far around the origin: the
+    count follows the turns of the path and its close approaches to 0, not
+    |eta| t at a fixed density.  Every logarithm comes from the closed form.
     """
-    s = 1.0 - y10 * time_warp(eta, t)
-    if eta == 0:
-        log_s, passes = cmath.log(s), [(1.0 / y10).real]  # s vanishes at t = 1/y10
-    else:
-        r = y10 / eta
-        c = 1.0 + r
-
-        def local_log(tau: float, s_tau: complex, outside: bool) -> complex:
-            # a logarithm of s(tau), continuous on its side of |E| = |c|
-            if outside:
-                return eta * tau + cmath.log(-s_tau / (r * cmath.exp(eta * tau)))
-            return cmath.log(s_tau / c)
-
-        if eta.real != 0 and c != 0:
-            tau_star = math.log(abs(c) / abs(r)) / eta.real
-            outside = tau_star <= 0 if eta.real > 0 else tau_star > 0  # just after 0
+    n = max(8, math.ceil(4.0 * abs(form.eta) * t / math.pi))
+    taus, logs, last = [0.0], [0j], 1.0 + 0.0j
+    pending = [(t * j / n, *form(t * j / n), 0) for j in range(n, 0, -1)]
+    while pending:
+        tau, s, log_s, depth = pending.pop()
+        if depth < 24 and _needs_split(last, s):
+            mid = 0.5 * (taus[-1] + tau)
+            pending += [(tau, s, log_s, depth + 1), (mid, *form(mid), depth + 1)]
         else:
-            tau_star, outside = math.inf, abs(r) > abs(c)
-        log_s = -local_log(0.0, 1.0 + 0.0j, outside)
-        if 0 < tau_star < t:
-            s_star = 1.0 - y10 * time_warp(eta, tau_star)
-            log_s += local_log(tau_star, s_star, outside)
-            outside = not outside
-            log_s -= local_log(tau_star, s_star, outside)
-        log_s += local_log(t, s, outside)
-        passes = _nearest_zeros(cmath.log(c / r) / eta, _TWO_PI * 1j / eta, t) if c != 0 else []
-    # On the real axis |s| is least near the real parts of its zeros, to
-    # first order in their distance from the axis.
-    for tau in passes:
-        w = y10 * time_warp(eta, tau)
-        if 0 < tau < t and abs(1.0 - w) <= sing_tol * (1.0 + abs(w)):
-            raise SingularPointError(
-                "pole of y1: the warped path passes within tolerance of 1 - y1(0) t = 0",
-                factor="1 - y1(0) t",
-                t=tau,
-            )
-    return s, log_s
+            taus.append(tau)
+            logs.append(log_s)
+            last = s
+    return taus, logs
 
 
 def _nearest_zeros(first: complex, step: complex, t: float) -> list[float]:
@@ -386,11 +415,14 @@ def lifted_singular_times(
     path reaches a denominator-vanishing target.  As for the unlifted flow,
     every such zero is reported except zeros inside the pole's sing_tol band
     (|1 - y1(0) warp(t)| < sing_tol/e), which are reported as the pole.
-    Targets are enumerated near the walk along the warped path, which stops
-    at the first pole and is then followed into the pole's band; their
-    candidate times come from exact inversion of the warp, and each candidate
-    is confirmed by the closed-form continued logarithm at that time, which
-    also drops candidates the path reaches only past a pole.
+    Targets are enumerated near the log image of the warped path, given by
+    the waypoints of ``_warp_path`` (about eight per turn, more near close
+    approaches to 0), each with its logarithm from the closed form.  The path
+    ends in the band of the first zero of s it meets: a real pole, or a pass
+    within the pole test past which evaluation raises.  Candidate times come
+    from exact inversion of the warp, and each candidate is confirmed by the
+    same closed form at that time, which also drops candidates the path
+    reaches only past a pole.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -400,34 +432,22 @@ def lifted_singular_times(
     candidates = _warp_times(1.0 + eta / pole_base, eta, t_max) if pole_base != 0 else []
 
     if sol.case in (SolutionCase.GENERIC, SolutionCase.DELTA_ZERO):
-
-        def curve(tau: float) -> complex:
-            return 1.0 - sol.y10 * time_warp(eta, tau)
-
-        walk_taus, path = _warp_path(sol.y10, eta, t_max)
-        logs = [0.0 + 0.0j]
-        for a, b in zip(path, path[1:]):
-            try:
-                logs.append(logs[-1] + log_increment(a, b, tol.sing_tol))
-            except SingularPointError:
-                break
-        taus = walk_taus[: len(logs)]
-        poles = real_times(candidates, t_max)
+        form = _WarpLog(sol.y10, eta)
         band = tol.sing_tol / math.e
-        if len(logs) < len(path) and poles and poles[0] <= walk_taus[len(logs)]:
-            # the walk stopped at this pole; follow the curve into its band
-            t_band = poles[0] - band / abs(sol.y10 * cmath.exp(eta * poles[0]))
-            if t_band > taus[-1]:
-                logs.append(logs[-1] + cmath.log(curve(t_band) / path[len(taus) - 1]))
-                taus.append(t_band)
-        for lam in denominator_log_targets(sol, curve, taus, logs, 1.0, math.log(band)):
+        # The path ends in the band of the first zero of s it meets, a real
+        # pole or a pass past which evaluation raises: near a zero at t0,
+        # s = c*(1 - exp(eta*(t - t0))), and |1 - exp(z)| <= exp(|z|) - 1.
+        t_stop = min(real_times(candidates, t_max)[:1], default=math.inf)
+        while (t_pass := form.first_pass(min(t_stop, t_max), tol.sing_tol)) < t_stop:
+            t_stop = t_pass
+        t_end = t_stop - math.log1p(band / abs(form.c)) / abs(eta) if t_stop < math.inf else t_max
+        taus, logs = _warp_path(form, t_end)  # t_end > 0: |s(t_end)| <= band < |s(0)|
+        for lam in denominator_log_targets(sol, form.s, taus, logs, 1.0, math.log(band)):
             warp_value = 1.0 + eta * (1.0 - cmath.exp(lam)) / sol.y10
             for tc in real_times(_warp_times(warp_value, eta, t_max), t_max):
-                try:
-                    log_val = _warp_log(sol.y10, eta, tc, tol.sing_tol)[1]
-                except SingularPointError:
+                if form.first_pass(tc, tol.sing_tol) < tc:
                     continue  # an earlier pole dominates this candidate
-                if abs(log_val - lam) <= 1e-6 * (1.0 + abs(lam)):
+                if abs(form(tc)[1] - lam) <= 1e-6 * (1.0 + abs(lam)):
                     candidates.append(tc)
     return real_times(candidates, t_max)
 

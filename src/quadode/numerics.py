@@ -1,5 +1,5 @@
-"""Complex scalar utilities: tolerance policy, the logarithm increment along
-a chord, quadratic roots, and rational recognition.
+"""Complex scalar utilities: tolerance policy, quadratic roots, and rational
+recognition.
 
 All routines work on plain ``complex`` values and are pure functions.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import NoRootError, SingularPointError
+from .errors import NoRootError
 
 
 @dataclass(frozen=True)
@@ -46,29 +46,6 @@ def ensure_finite(value: complex, name: str = "value") -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{name} must have finite components, got {z!r}")
     return z
-
-
-def _segment_clearance(a: complex, b: complex) -> float:
-    """Distance from the segment [a, b] to the origin."""
-    d = b - a
-    dd = d.real * d.real + d.imag * d.imag
-    if dd == 0.0:
-        return abs(a)
-    t = -(a.real * d.real + a.imag * d.imag) / dd
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * d)
-
-
-def log_increment(a: complex, b: complex, sing_tol: float) -> complex:
-    # A chord avoiding 0 subtends an angle of modulus < pi at the origin, so
-    # the principal log of the ratio is the exact continuation increment.
-    scale = max(abs(a), abs(b))
-    if scale == 0.0 or _segment_clearance(a, b) <= sing_tol * scale:
-        raise SingularPointError(
-            "continuation path passes through or within tolerance of 0",
-            factor="log path",
-        )
-    return cmath.log(b / a)
 
 
 class QuadraticRoots(NamedTuple):

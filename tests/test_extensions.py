@@ -38,9 +38,9 @@ from quadode import (
     time_warp,
 )
 from quadode.canonical import eval_canonical_general
-from quadode.extensions import _warp_log, _warp_path
-from quadode.numerics import log_increment
+from quadode.extensions import _warp_log
 from conftest import ALL_EXAMPLES, EXAMPLE1, EXAMPLE2, EXAMPLE3, sample_solvable_system
+from dense_walk import dense_warp_path, walked_log, walked_singular_times
 
 
 def close(z, w, tol=1e-14):
@@ -208,12 +208,6 @@ class TestTimeWarp:
             assert abs(abs(tau - 1j) - 1.0) <= 1e-12
 
 
-def walked_log(y10, eta, t, sing_tol=1e-9):
-    """s(t) and log s(t) continued chord by chord along the warped path."""
-    path = _warp_path(y10, eta, t)[1]
-    return path[-1], sum((log_increment(a, b, sing_tol) for a, b in zip(path, path[1:])), 0j)
-
-
 def rel_log_error(got, want):
     return abs(got - want) / (1.0 + abs(want))
 
@@ -255,7 +249,7 @@ class TestWarpLog:
             draw = self.sample_path(rng, stratum)
             if draw is None:
                 continue
-            path = _warp_path(*draw)[1]
+            path = dense_warp_path(*draw)[1]
             if min(abs(p) for p in path) < 1e-3:
                 continue  # keep clear of the pole: near passes are tested below
             s_walk, log_walk = walked_log(*draw)
@@ -427,6 +421,60 @@ class TestSolveLifted:
                 eval_lifted(traj, t)
 
 
+def lifted_case(rng, stratum):
+    """(canonical solution, eta, t_max) of one stratum.  A quarter of the
+    draws put a pole on the path at a real time t0, a quarter a denominator
+    zero, and a quarter (not on real paths) a zero where the path passes 1e-6
+    to 0.1 from the pole; zeros are placed with the dense walk's logarithm."""
+    t_max = rng.uniform(0.5, 8.0)
+    if stratum == "real":
+        rho = CanonicalParams(rng.uniform(-3, 3), rng.uniform(-2, 2))
+        y1, y2 = rng.choice((-1, 1)) * rng.uniform(0.1, 2), rng.uniform(-2, 2)
+        eta = complex(rng.choice((-1, 1)) * rng.uniform(0.05, 2))
+    else:
+        rho1 = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
+        rho = CanonicalParams(rho1, complex(rng.uniform(-2, 2), rng.uniform(-1, 1)))
+        y1 = cmath.rect(rng.uniform(0.1, 2), rng.uniform(0, 2 * math.pi))
+        y2 = cmath.rect(rng.uniform(0, 2), rng.uniform(0, 2 * math.pi))
+        if stratum == "near-real":
+            eta = complex(rng.choice((-1, 1)) * rng.uniform(0.05, 2), rng.uniform(-1e-3, 1e-3))
+        elif stratum == "imaginary":
+            eta = 1j * rng.choice((-1, 1)) * rng.uniform(0.3, 2)
+        else:
+            eta = cmath.rect(rng.uniform(0.05, 2), rng.uniform(0, 2 * math.pi))
+    plant, t0 = rng.choice(("none", "pole", "zero", "close pass")), rng.uniform(0.1, 1.0) * t_max
+    if plant == "pole":
+        y1 = 1.0 / time_warp(eta, t0)
+        y1 = y1.real if stratum == "real" else y1
+    elif plant != "none" and stratum != "real":
+        if plant == "close pass":
+            y1 = near_miss(eta, t0, 10 ** rng.uniform(-6, -1))
+        sol = solve_canonical(rho, CanonicalState(y1, y2))
+        try:
+            w = cmath.exp(-sol.delta * walked_log(y1, eta, t0)[1])
+            y2 = y1 * (sol.u_minus - w * sol.u_plus) / (1 - w)
+        except SingularPointError:
+            pass
+    return solve_canonical(rho, CanonicalState(y1, y2)), eta, t_max
+
+
+class TestLiftedSingularTimes:
+    """The enumeration over closed-form waypoints against the same
+    enumeration over the dense walk."""
+
+    @pytest.mark.parametrize("stratum", ["real", "near-real", "imaginary", "general"])
+    def test_matches_dense_walk_enumeration(self, stratum):
+        rng = random.Random(f"lifted-times/{stratum}")
+        tol = ToleranceConfig()
+        found = 0
+        for _ in range(375):
+            sol, eta, t_max = lifted_case(rng, stratum)
+            times = lifted_singular_times(sol, eta, t_max, tol)
+            assert times == walked_singular_times(sol, eta, t_max, tol)
+            found += len(times)
+        assert found >= 100
+
+
 class TestIsochrony:
     def test_third_reference_is_isochronous(self):
         report = isochrony_check(EXAMPLE3, 1.0)
@@ -495,6 +543,26 @@ class TestIsochrony:
                 eval_lifted(traj, t)
                 fastest = min(fastest, time.perf_counter() - start)
             assert fastest < 1e-3
+
+    def test_enumeration_work_per_turn(self, monkeypatch):
+        # the singular-time enumeration evaluates the warped path at a fixed
+        # number of waypoints per turn, not at a density in |eta| t
+        import quadode.extensions as extensions
+
+        calls = []
+        warp = extensions.time_warp
+        monkeypatch.setattr(extensions, "time_warp", lambda eta, t: calls.append(t) or warp(eta, t))
+        lifted, z0 = self.two_turn_orbit()
+        period = isochrony_check(EXAMPLE3, 1.0).period
+        counts = []
+        for n in (1, 10, 100):
+            calls.clear()
+            traj = solve_lifted(lifted, z0, t_max=n * period)
+            assert not traj.t_singular
+            turns = abs(lifted.eta) * n * period / (2 * math.pi)
+            assert len(calls) <= 16 * turns
+            counts.append(len(calls))
+        assert counts[1] <= 10 * counts[0] and counts[2] <= 100 * counts[0]
 
     @staticmethod
     def two_turn_orbit():

@@ -1,4 +1,5 @@
-"""Scalar numerics: logarithm increments, quadratic roots, rational recognition."""
+"""Scalar numerics: quadratic roots, rational recognition, tolerances; and the
+chord increments of the dense reference walk."""
 
 import cmath
 import math
@@ -15,7 +16,7 @@ from quadode import (
     approx_rational,
     solve_quadratic,
 )
-from quadode.numerics import log_increment
+from dense_walk import log_increment
 
 EQ_TOL = 1e-12
 
@@ -32,8 +33,8 @@ def summed_increments(path, sing_tol=1e-9) -> complex:
 
 
 class TestContinuedLog:
-    """Continuation of the logarithm by chord increments, as the lifted
-    flow's singular-time walk uses them."""
+    """Continuation of the logarithm by chord increments, as the dense
+    reference walk of the lifted flow's tests uses them."""
 
     @pytest.mark.parametrize("windings", [1, 2, -1])
     def test_winding_shifts_branch(self, windings):
