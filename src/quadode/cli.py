@@ -26,7 +26,7 @@ from .extensions import (
     periodicity_deviation,
     solve_lifted,
 )
-from .inversion import constraint_residuals, decompose
+from .inversion import alpha_from_change, constraint_residuals, decompose
 from .numerics import DEFAULT_TOLERANCES, ToleranceConfig
 from .oracle import compare_trajectories, integrate
 from .solver import (
@@ -188,8 +188,9 @@ def cmd_check(args) -> int:
         _emit(report)
         return 0
     diag = inv.diagnostics
+    alpha = alpha_from_change(spec.system, inv.plus.change)
     report["diagnostics"] = {
-        "alpha": [[_jc(v) for v in row] for row in diag.alpha],
+        "alpha": [[_jc(v) for v in row] for row in alpha],
         "line_residual": diag.line_residual,
         "roundtrip_deviation": diag.roundtrip_deviation,
     }

@@ -21,7 +21,8 @@ class SingularPointError(QuadOdeError):
 
 
 class NonInvertibleChangeError(QuadOdeError):
-    """A 2x2 change of variables has a (numerically) vanishing determinant."""
+    """A 2x2 change of variables has a (numerically) vanishing determinant,
+    or one beyond the floating-point range."""
 
 
 class NotSolvableError(QuadOdeError):

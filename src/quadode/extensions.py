@@ -12,14 +12,18 @@ continued power to come back to its starting branch.
 Evaluation and the singular-time enumeration take log s along the warped
 path s(t) = 1 - y1(0)*warp(t) from one closed form (``_WarpLog``):
 evaluation costs the same at any t, and the enumeration bounds its log
-targets with about eight waypoints per turn of the path, once per solve.
+targets with about eight waypoints per turn of the path.  A trajectory builds
+its form once, and every ``eval_lifted`` shares its constants and its
+tolerance-free list of the times where the path may pass near 0; each point
+tests that list against its own sing_tol and takes exp(eta*t), the warped
+time, s and log s from one exponential.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .canonical import (
     CanonicalSolution,
@@ -38,7 +42,7 @@ from .numerics import (
     ensure_finite,
 )
 from .solver import prepare
-from .transform import LinearChange, Pair, QuadraticSystem, push_state
+from .transform import Pair, QuadraticSystem, push_state
 
 _TWO_PI = 2.0 * math.pi
 
@@ -127,6 +131,11 @@ class LiftedTrajectory:
     z0: Pair
     x0: Pair
     t_singular: tuple[float, ...]
+    # the closed form of log s that every eval_lifted of this trajectory shares
+    _warp: _WarpLog | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_warp", _warp_form(self.canonical, self.lifted.eta))
 
 
 def rescale(sys: QuadraticSystem, s: ScalingParams) -> QuadraticSystem:
@@ -177,16 +186,22 @@ def lift(sys: QuadraticSystem, p: LiftParams) -> LiftedSystem:
     return LiftedSystem(base=sys, d=(rows[0], rows[1]), eta=p.eta, zbar=p.zbar)
 
 
+def _growth_and_warp(eta: complex, t: float) -> tuple[complex, complex]:
+    """exp(eta*t) and the warped time (exp(eta*t) - 1)/eta, from one exponential."""
+    x = eta * t
+    growth = cmath.exp(x)
+    if abs(x) <= _SMALL_WARP:
+        return growth, t * (1.0 + x / 2.0 + x * x / 6.0)
+    return growth, (growth - 1.0) / eta
+
+
 def time_warp(eta: complex, t: float) -> complex:
     """Warped time (exp(eta*t) - 1)/eta, continuous through eta = 0.
 
     Small |eta*t| is evaluated by series to avoid the cancellation in the
     direct quotient.
     """
-    x = eta * t
-    if abs(x) <= _SMALL_WARP:
-        return t * (1.0 + x / 2.0 + x * x / 6.0)
-    return (cmath.exp(x) - 1.0) / eta
+    return _growth_and_warp(eta, t)[1]
 
 
 def _needs_split(a: complex, b: complex) -> bool:
@@ -212,78 +227,112 @@ class _WarpLog:
     eta = i*omega nothing is crossed: each period 2*pi/|omega| adds
     2*pi*i*sign(omega) when |r| > |c| and nothing otherwise.  eta = 0 is the
     straight path, whose continued logarithm is principal.
+
+    One form serves every evaluation of a trajectory.  ``passes`` lists, without any
+    tolerance, where the path may pass near 0: the real parts tau > 0 of the
+    zeros of s that ``_nearest_zeros`` picks, each with its w = y10*warp(tau),
+    sorted by tau; ``run`` holds the zeros between them that approach the
+    real axis, or None.  ``first_pass`` tests them against a caller's sing_tol.
     """
 
-    __slots__ = ("y10", "eta", "r", "c", "tau_star", "outside", "k_before", "k_after")
+    __slots__ = (
+        "y10", "eta", "r", "c", "tau_star", "outside", "k_before", "k_after", "passes", "run"
+    )
 
     def __init__(self, y10: complex, eta: complex):
         self.y10, self.eta = y10, eta
         self.tau_star, self.outside, self.k_before, self.k_after = math.inf, False, 0j, None
+        taus, self.run = [], None
         if eta == 0:
-            return
-        self.r = y10 / eta
-        self.c = 1.0 + self.r
-        if eta.real != 0 and self.c != 0:
-            self.tau_star = math.log(abs(self.c) / abs(self.r)) / eta.real
-            self.outside = self.tau_star <= 0 if eta.real > 0 else self.tau_star > 0  # just after 0
+            taus = [(1.0 / y10).real]  # s vanishes at t = 1/y10
         else:
-            self.outside = abs(self.r) > abs(self.c)
-        self.k_before = -self._local(0.0, 1.0 + 0.0j, self.outside)
+            self.r = y10 / eta
+            self.c = 1.0 + self.r
+            if eta.real != 0 and self.c != 0:
+                self.tau_star = math.log(abs(self.c) / abs(self.r)) / eta.real
+                # which side of |E| = |c| the path is on just after 0
+                self.outside = self.tau_star <= 0 if eta.real > 0 else self.tau_star > 0
+            else:
+                self.outside = abs(self.r) > abs(self.c)
+            self.k_before = -self._local(0.0, 1.0 + 0.0j, cmath.exp(eta * 0.0), self.outside)
+            if self.c != 0:
+                first, step = cmath.log(self.c / self.r) / eta, _TWO_PI * 1j / eta
+                taus, self.run = _nearest_zeros(first, step)
+        self.passes = [(tau, y10 * time_warp(eta, tau)) for tau in sorted(set(taus)) if tau > 0]
 
-    def _local(self, tau: float, s: complex, outside: bool) -> complex:
+    def _local(self, tau: float, s: complex, growth: complex, outside: bool) -> complex:
         # a logarithm of s(tau), continuous on its side of |E| = |c|
         if outside:
-            return self.eta * tau + cmath.log(-s / (self.r * cmath.exp(self.eta * tau)))
+            return self.eta * tau + cmath.log(-s / (self.r * growth))
         return cmath.log(s / self.c)
+
+    def _at(self, tau: float) -> tuple[complex, complex, complex, complex]:
+        growth, warp = _growth_and_warp(self.eta, tau)
+        s = 1.0 - self.y10 * warp
+        if self.eta == 0:
+            return growth, warp, s, cmath.log(s)
+        if 0 < self.tau_star < tau:
+            if self.k_after is None:
+                growth_star, warp_star = _growth_and_warp(self.eta, self.tau_star)
+                s_star = 1.0 - self.y10 * warp_star
+                self.k_after = self.k_before
+                self.k_after += self._local(self.tau_star, s_star, growth_star, self.outside)
+                self.k_after -= self._local(self.tau_star, s_star, growth_star, not self.outside)
+            return growth, warp, s, self.k_after + self._local(tau, s, growth, not self.outside)
+        return growth, warp, s, self.k_before + self._local(tau, s, growth, self.outside)
 
     def s(self, tau: float) -> complex:
         return 1.0 - self.y10 * time_warp(self.eta, tau)
 
     def __call__(self, tau: float) -> tuple[complex, complex]:
         """s(tau) and its continued logarithm; s must not vanish at tau* < tau."""
-        s = self.s(tau)
-        if self.eta == 0:
-            return s, cmath.log(s)
-        if 0 < self.tau_star < tau:
-            if self.k_after is None:
-                s_star, tau_star = self.s(self.tau_star), self.tau_star
-                self.k_after = self.k_before + self._local(tau_star, s_star, self.outside)
-                self.k_after -= self._local(tau_star, s_star, not self.outside)
-            return s, self.k_after + self._local(tau, s, not self.outside)
-        return s, self.k_before + self._local(tau, s, self.outside)
+        return self._at(tau)[2:]
+
+    def point(self, t: float, sing_tol: float) -> tuple[complex, complex, complex, complex]:
+        """exp(eta*t), warp(t), s(t) and log s(t).  Raises SingularPointError
+        when s passed within eval_canonical_general's pole test of 0 before t."""
+        t_pass = self.first_pass(t, sing_tol)
+        if t_pass < t:
+            raise SingularPointError(
+                "pole of y1: the warped path passes within tolerance of 1 - y1(0) t = 0",
+                factor="1 - y1(0) t",
+                t=t_pass,
+            )
+        return self._at(t)
 
     def first_pass(self, t: float, sing_tol: float) -> float:
-        """The first time in (0, t) at which s comes within
+        """The first pass in (0, t) at which s comes within
         eval_canonical_general's pole test of 0, or inf; s at t itself is
         left to that test."""
-        if self.eta == 0:
-            passes = [(1.0 / self.y10).real]  # s vanishes at t = 1/y10
-        elif self.c != 0:
-            step = _TWO_PI * 1j / self.eta
-            passes = _nearest_zeros(cmath.log(self.c / self.r) / self.eta, step, t)
-        else:
-            return math.inf
         # On the real axis |s| is least near the real parts of its zeros, to
         # first order in their distance from the axis.
-        for tau in sorted(passes):
-            w = self.y10 * time_warp(self.eta, tau)
-            if 0 < tau < t and abs(1.0 - w) <= sing_tol * (1.0 + abs(w)):
-                return tau
-        return math.inf
+        listed = next((tau for tau, w in self.passes if tau < t and _close(w, sing_tol)), math.inf)
+        if self.run is None:
+            return listed
+        return min(listed, self._first_in_run(min(t, listed), sing_tol))
+
+    def _first_in_run(self, t: float, sing_tol: float) -> float:
+        # The run's zeros come nearer the real axis as m grows, by less per
+        # turn the nearer eta is to imaginary, so the ones that pass the test
+        # are its last ones: test the last before t, then bisect.
+        first, step, m_lo, m_hi = self.run
+        m_hi = min(m_hi, math.ceil((t - first.real) / step.real) - 1)
+
+        def meets_test(m: int) -> bool:
+            tau = (first + m * step).real
+            return _close(self.y10 * time_warp(self.eta, tau), sing_tol)
+
+        if m_hi < m_lo or not meets_test(m_hi):
+            return math.inf
+        while m_lo < m_hi:
+            mid = (m_lo + m_hi) // 2
+            m_lo, m_hi = (m_lo, mid) if meets_test(mid) else (mid + 1, m_hi)
+        return (first + m_hi * step).real
 
 
-def _warp_log(y10: complex, eta: complex, t: float, sing_tol: float) -> tuple[complex, complex]:
-    """s(t) and log s(t) of ``_WarpLog``.  Raises SingularPointError when s
-    passes within eval_canonical_general's pole test of 0 before t."""
-    form = _WarpLog(y10, eta)
-    t_pass = form.first_pass(t, sing_tol)
-    if t_pass < t:
-        raise SingularPointError(
-            "pole of y1: the warped path passes within tolerance of 1 - y1(0) t = 0",
-            factor="1 - y1(0) t",
-            t=t_pass,
-        )
-    return form(t)
+def _close(w: complex, sing_tol: float) -> bool:
+    """Whether s = 1 - w is within eval_canonical_general's pole test of 0."""
+    return abs(1.0 - w) <= sing_tol * (1.0 + abs(w))
 
 
 def _warp_path(form: _WarpLog, t: float) -> tuple[list[float], list[complex]]:
@@ -310,41 +359,33 @@ def _warp_path(form: _WarpLog, t: float) -> tuple[list[float], list[complex]]:
     return taus, logs
 
 
-def _nearest_zeros(first: complex, step: complex, t: float) -> list[float]:
-    """Real parts in [0, t] of the points first + m*step, m an integer, that
-    lie nearest the real axis."""
-    if step.real != 0:
-        ends = sorted((-first.real / step.real, (t - first.real) / step.real))
-        lo, hi = math.ceil(ends[0]), math.floor(ends[1])
-        if lo > hi:
-            return []
-    elif 0 <= first.real <= t:
-        lo, hi = -math.inf, math.inf
-    else:
-        return []
-    m0 = min(max(-first.imag / step.imag, lo), hi) if step.imag != 0 else lo
-    ms = {min(max(m, lo), hi) for m in (math.floor(m0), math.ceil(m0))}
-    return [(first + m * step).real for m in ms]
+def _nearest_zeros(first: complex, step: complex) -> tuple[list[float], tuple | None]:
+    """Real parts of points first + m*step, m an integer: the first with a
+    nonnegative real part, and from there on the two nearest the real axis
+    (all lie equally near it when step is real).  Also the run of indices
+    strictly between those, (first, step, m_lo, m_hi) with m in time order,
+    or None when it is empty."""
+    if step.real == 0:  # one real part for all
+        if first.real < 0:
+            return [], None
+        m0 = -first.imag / step.imag
+        return [(first + m * step).real for m in (math.floor(m0), math.ceil(m0))], None
+    if step.real < 0:
+        step = -step  # m in time order
+    lo = math.ceil(-first.real / step.real)
+    if step.imag == 0:
+        return [(first + lo * step).real], None
+    m0 = -first.imag / step.imag
+    near = [max(m, lo) for m in (math.floor(m0), math.ceil(m0))]
+    run = (first, step, lo + 1, near[0] - 1) if near[0] - 1 > lo else None
+    return [(first + m * step).real for m in {lo, *near}], run
 
 
-def _eval_lifted_state(
-    sol: CanonicalSolution,
-    change: LinearChange,
-    eta: complex,
-    zbar: Pair,
-    t: float,
-    tol: ToleranceConfig,
-) -> Pair:
-    tau = time_warp(eta, t)
+def _warp_form(sol: CanonicalSolution, eta: complex) -> _WarpLog | None:
+    """The closed form of log s for the cases whose evaluation continues it."""
     if sol.case in (SolutionCase.GENERIC, SolutionCase.DELTA_ZERO):
-        s, log_s = _warp_log(sol.y10, eta, t, tol.sing_tol)
-    else:
-        s = 1.0 - sol.y10 * tau
-        log_s = 0.0 + 0.0j
-    y = eval_canonical_general(sol, tau, s, log_s, tol)
-    x = push_state(change, y)
-    growth = cmath.exp(eta * t)
-    return (growth * x[0] + zbar[0], growth * x[1] + zbar[1])
+        return _WarpLog(sol.y10, eta)
+    return None
 
 
 def solve_lifted(
@@ -386,9 +427,14 @@ def eval_lifted(
     at every t past a point where the warped path 1 - y1(0)*warp came within
     the pole test of 0.
     """
-    return _eval_lifted_state(
-        traj.canonical, traj.decomposition.change, traj.lifted.eta, traj.lifted.zbar, t, tol
-    )
+    sol, eta, zbar = traj.canonical, traj.lifted.eta, traj.lifted.zbar
+    if traj._warp is not None:
+        growth, tau, s, log_s = traj._warp.point(t, tol.sing_tol)
+    else:
+        growth, tau = _growth_and_warp(eta, t)
+        s, log_s = 1.0 - sol.y10 * tau, 0.0 + 0.0j
+    x = push_state(traj.decomposition.change, eval_canonical_general(sol, tau, s, log_s, tol))
+    return (growth * x[0] + zbar[0], growth * x[1] + zbar[1])
 
 
 def _warp_times(value: complex, eta: complex, t_max: float) -> list[complex]:
@@ -431,15 +477,14 @@ def lifted_singular_times(
     pole_base = sol.y20 if sol.case is SolutionCase.Y1_ZERO else sol.y10
     candidates = _warp_times(1.0 + eta / pole_base, eta, t_max) if pole_base != 0 else []
 
-    if sol.case in (SolutionCase.GENERIC, SolutionCase.DELTA_ZERO):
-        form = _WarpLog(sol.y10, eta)
+    form = _warp_form(sol, eta)
+    if form is not None:
         band = tol.sing_tol / math.e
         # The path ends in the band of the first zero of s it meets, a real
         # pole or a pass past which evaluation raises: near a zero at t0,
         # s = c*(1 - exp(eta*(t - t0))), and |1 - exp(z)| <= exp(|z|) - 1.
         t_stop = min(real_times(candidates, t_max)[:1], default=math.inf)
-        while (t_pass := form.first_pass(min(t_stop, t_max), tol.sing_tol)) < t_stop:
-            t_stop = t_pass
+        t_stop = min(t_stop, form.first_pass(min(t_stop, t_max), tol.sing_tol))
         t_end = t_stop - math.log1p(band / abs(form.c)) / abs(eta) if t_stop < math.inf else t_max
         taus, logs = _warp_path(form, t_end)  # t_end > 0: |s(t_end)| <= band < |s(0)|
         for lam in denominator_log_targets(sol, form.s, taus, logs, 1.0, math.log(band)):

@@ -41,14 +41,33 @@ decomposition.  The inversion is:
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .canonical import CanonicalParams
-from .errors import DegenerateInversionError, InternalConsistencyError, NotSolvableError
+from .errors import (
+    DegenerateInversionError,
+    InternalConsistencyError,
+    NonInvertibleChangeError,
+    NotSolvableError,
+)
 from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, solve_quadratic
-from .transform import LinearChange, Mat2, Pair, QuadraticSystem, forward_map, linear_change_from_b
+from .transform import (
+    LinearChange,
+    Mat2,
+    Pair,
+    QuadraticSystem,
+    forward_rows,
+    linear_change_unchecked,
+)
 
 AlphaRows = tuple[tuple[complex, complex, complex], tuple[complex, complex, complex]]
+
+# decompose inverts systems whose largest coefficient lies outside this range
+# after scaling them by a power of two, which is exact: the constraints are
+# quintic in the coefficients, and the normal gauge forms their inverse
+# squares, so they would overflow or underflow long before the coefficients.
+_SCALE_RANGE = (2.0**-100, 2.0**100)
 
 
 @dataclass(frozen=True)
@@ -99,8 +118,6 @@ class Decomposition:
 class InversionDiagnostics:
     """Quantities recorded for every inversion.
 
-    ``alpha`` holds the pulled coefficient rows of the plus branch (None in
-    the diagnostics of a branch that failed its round trip).
     ``line_residual`` is how far the chosen root of the larger of F1, F2
     misses the other form, relative to its monomial scale (0 on the exact
     invariant line).  ``roundtrip_deviation`` is the largest coefficient
@@ -108,7 +125,6 @@ class InversionDiagnostics:
     coefficient.
     """
 
-    alpha: AlphaRows | None
     line_residual: float
     roundtrip_deviation: float
 
@@ -216,8 +232,21 @@ def decompose(
     when the system satisfies them but has no canonical form (the zero
     system, an invariant line without flow, or y1' = 0), and
     InternalConsistencyError when a branch does not round-trip through the
-    forward map.
+    forward map.  A system whose largest coefficient lies outside 2**-100 to
+    2**100 is inverted after an exact scaling by a power of two, and the
+    residuals of a NotSolvableError are then those of the scaled system;
+    NonInvertibleChangeError is raised when a branch's b or its inverse has a
+    determinant beyond floating point (coefficients below about 1e-154).
     """
+    sys_scale = sys.max_abs()
+    if sys_scale == 0.0:
+        raise DegenerateInversionError("the zero system has no canonical form", formula="Q")
+    unit = 1.0
+    if not _SCALE_RANGE[0] <= sys_scale <= _SCALE_RANGE[1]:
+        # (rho, b) decomposes sys exactly when (rho, b / unit) decomposes sys * unit
+        unit = 2.0 ** -max(math.frexp(sys_scale)[1], -1023)
+        sys = QuadraticSystem(tuple(tuple(v * unit for v in row) for row in sys.c))
+        sys_scale = sys.max_abs()
     residuals = constraint_residuals(sys, tol)
     if not residuals.satisfied:
         raise NotSolvableError(
@@ -225,9 +254,6 @@ def decompose(
             f"(relative residuals {residuals.rel1:.3e}, {residuals.rel2:.3e})",
             residuals=residuals,
         )
-    sys_scale = sys.max_abs()
-    if sys_scale == 0.0:
-        raise DegenerateInversionError("the zero system has no canonical form", formula="Q")
     v, line_residual = _invariant_line(sys)
     ell = (2.0 * sys.c11 + sys.c22) * v[0] + (sys.c12 + 2.0 * sys.c23) * v[1]
     if abs(ell) <= tol.eq_tol * sys_scale * max(abs(v[0]), abs(v[1])):
@@ -241,7 +267,7 @@ def decompose(
     norm = abs(b12) ** 2 + abs(b22) ** 2
     q1, q2 = sys.rhs(e)
     lqe = b22 * q1 - b12 * q2
-    if abs(lqe) <= tol.eq_tol * sys_scale * norm**1.5:
+    if abs(lqe) <= tol.eq_tol * sys_scale * norm * math.sqrt(norm):
         raise DegenerateInversionError("y1' vanishes: no first column", formula="L(Q(e))")
     k = norm / lqe
     b11, b21 = k * e[0], k * e[1]
@@ -253,11 +279,11 @@ def decompose(
     # delta is shear-invariant; taken here it escapes the shear's cancellation.
     delta = cmath.sqrt((1.0 - rho2) ** 2 - 4.0 * rho1)
 
-    # Shear to the gauge b11 = 0 or 1; b12 = 0 leaves b11 where it is.
+    # Shear to the gauge b11 = 0 or 1 of the input; b12 = 0 leaves b11 where it is.
     if abs(b12) <= tol.eq_tol * abs(b22):
         members = [(b11, 0.0), (b11, 0.0)]
     else:
-        members = [(target, (b11 - target) / b12) for target in (0.0, 1.0)]
+        members = [(target, (b11 - target) / b12) for target in (0.0, 1.0 / unit)]
     candidates = []
     for target, s in members:
         b: Mat2 = ((complex(target), b12), (b21 - s * b22, b22))
@@ -269,22 +295,41 @@ def decompose(
     branches = []
     deviation = 0.0
     for label, (b, rho) in zip(("plus", "minus"), candidates):
-        change = linear_change_from_b(b, tol)
-        rebuilt = forward_map(rho, change)
-        dev = max(abs(rebuilt.c[n][l] - sys.c[n][l]) for n in range(2) for l in range(3))
-        deviation = max(deviation, dev / sys_scale)
-        if deviation > 1e-9:
+        change = linear_change_unchecked(b, tol)
+        rebuilt = forward_rows(rho, change)
+        diffs = [abs(r - c) for row, sys_row in zip(rebuilt, sys.c) for r, c in zip(row, sys_row)]
+        # max() drops a NaN that does not come first
+        dev = math.nan if any(d != d for d in diffs) else max(diffs)
+        deviation = max(dev / sys_scale, deviation)
+        if not deviation <= 1e-9:
             raise InternalConsistencyError(
                 f"branch {label} does not reproduce the input coefficients "
-                f"(deviation {dev:.3e} vs scale {sys_scale:.3e})",
-                diagnostics=InversionDiagnostics(None, line_residual, deviation),
+                f"(deviation {dev / unit:.3e} vs scale {sys_scale / unit:.3e})",
+                diagnostics=InversionDiagnostics(line_residual, deviation),
             )
+        if unit != 1.0:
+            change = _unscaled_change(change, unit)
         branches.append(
             Decomposition(beta=beta, change=change, rho=rho, delta=delta, branch=label)
         )
 
     plus, minus = branches
-    alpha = alpha_from_change(sys, plus.change)
     return InversionResult(
-        plus=plus, minus=minus, diagnostics=InversionDiagnostics(alpha, line_residual, deviation)
+        plus=plus, minus=minus, diagnostics=InversionDiagnostics(line_residual, deviation)
+    )
+
+
+def _unscaled_change(ch: LinearChange, unit: float) -> LinearChange:
+    """The change that decomposes sys from the one that decomposes sys * unit,
+    exactly, unit a power of two: b = b' unit and a = a' / unit."""
+    det_a, det_b = ch.det_a / unit / unit, ch.det_b * unit * unit
+    if cmath.isinf(det_a) or cmath.isinf(det_b):
+        raise NonInvertibleChangeError(
+            "the determinant of b lies beyond floating point at this coefficient scale"
+        )
+    return LinearChange(
+        a=tuple(tuple(v / unit for v in row) for row in ch.a),
+        b=tuple(tuple(v * unit for v in row) for row in ch.b),
+        det_a=det_a,
+        det_b=det_b,
     )

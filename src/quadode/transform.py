@@ -90,7 +90,12 @@ class LinearChange:
 
 def linear_change_from_b(b, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearChange:
     """Build the change of variables from the x = b*y matrix."""
-    b = _coerce_matrix(b, (2, 2), "b")
+    return linear_change_unchecked(_coerce_matrix(b, (2, 2), "b"), tol)
+
+
+def linear_change_unchecked(b: Mat2, tol: ToleranceConfig) -> LinearChange:
+    """``linear_change_from_b`` for a b of finite complex entries, which it
+    does not check again: for b computed inside the package."""
     det_b = b[0][0] * b[1][1] - b[0][1] * b[1][0]
     scale = abs(b[0][0] * b[1][1]) + abs(b[0][1] * b[1][0])
     if abs(det_b) <= tol.eq_tol * scale or scale == 0.0:
@@ -108,6 +113,12 @@ def forward_map(p: CanonicalParams, ch: LinearChange) -> QuadraticSystem:
     By construction the result is explicitly solvable, with decomposition
     (p, ch.b).
     """
+    return QuadraticSystem(forward_rows(p, ch))
+
+
+def forward_rows(p: CanonicalParams, ch: LinearChange) -> CoeffRows:
+    """The coefficient rows of ``forward_map``, unchecked: they are not
+    finite when the data overflow."""
     rho1, rho2 = complex(p.rho1), complex(p.rho2)
     (a11, a12), (a21, a22) = ch.a
     rows = []
@@ -119,7 +130,7 @@ def forward_map(p: CanonicalParams, ch: LinearChange) -> QuadraticSystem:
         )
         cn3 = bn1 * a12 * a12 + bn2 * (rho1 * a12 * a12 + (rho2 * a12 + a22) * a22)
         rows.append((cn1, cn2, cn3))
-    return QuadraticSystem((rows[0], rows[1]))
+    return (rows[0], rows[1])
 
 
 def pull_state(ch: LinearChange, x: Pair) -> CanonicalState:

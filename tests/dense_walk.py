@@ -5,6 +5,10 @@ The walk samples ~16 |eta| t waypoints, refines them at midpoints of the
 true curve wherever a chord turns too far around the origin, and continues
 the logarithm by the principal log of each chord's end ratio.  Its cost grows
 with |eta| t; the library takes logarithms in closed form instead.
+
+``per_call_warp_log`` is a reference for evaluation that shares nothing
+between calls: a fresh closed form per call, and a pass test over the zeros
+of s nearest the real axis within [0, t], found anew for each t.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 
 from quadode import SingularPointError, SolutionCase, ToleranceConfig, time_warp
 from quadode.canonical import denominator_log_targets, real_times, singular_times
-from quadode.extensions import _warp_log, _warp_times
+from quadode.extensions import _WarpLog, _warp_times
 
 
 def segment_clearance(a: complex, b: complex) -> float:
@@ -41,6 +45,43 @@ def log_increment(a: complex, b: complex, sing_tol: float) -> complex:
             factor="log path",
         )
     return cmath.log(b / a)
+
+
+def nearest_zeros_within(first: complex, step: complex, t: float) -> list[float]:
+    """Real parts in [0, t] of the points first + m*step, m an integer, that
+    lie nearest the real axis; the earliest when all lie equally near."""
+    if step.real < 0:
+        step = -step
+    if step.real != 0:
+        lo = math.ceil(-first.real / step.real)
+        hi = math.floor((t - first.real) / step.real)
+        if lo > hi:
+            return []
+    elif 0 <= first.real <= t:
+        lo, hi = -math.inf, math.inf
+    else:
+        return []
+    m0 = min(max(-first.imag / step.imag, lo), hi) if step.imag != 0 else lo
+    ms = {min(max(m, lo), hi) for m in (math.floor(m0), math.ceil(m0))}
+    return [(first + m * step).real for m in ms]
+
+
+def per_call_warp_log(y10: complex, eta: complex, t: float, sing_tol: float):
+    """s(t) and log s(t) from a form built for this call; raises
+    SingularPointError, with the time of the pass, when s came within the
+    pole test of 0 at a zero nearest the real axis in (0, t)."""
+    form = _WarpLog(y10, eta)
+    if eta == 0:
+        passes = [(1.0 / y10).real]
+    elif form.c != 0:
+        passes = nearest_zeros_within(cmath.log(form.c / form.r) / eta, 2j * math.pi / eta, t)
+    else:
+        passes = []
+    for tau in sorted(passes):
+        w = y10 * time_warp(eta, tau)
+        if 0 < tau < t and abs(1.0 - w) <= sing_tol * (1.0 + abs(w)):
+            raise SingularPointError("warped path passed the pole", factor="1 - y1(0) t", t=tau)
+    return form(t)
 
 
 def needs_split(a: complex, b: complex) -> bool:
@@ -114,7 +155,7 @@ def walked_singular_times(sol, eta: complex, t_max: float, tol: ToleranceConfig)
         warp_value = 1.0 + eta * (1.0 - cmath.exp(lam)) / sol.y10
         for tc in real_times(_warp_times(warp_value, eta, t_max), t_max):
             try:
-                log_val = _warp_log(sol.y10, eta, tc, tol.sing_tol)[1]
+                log_val = per_call_warp_log(sol.y10, eta, tc, tol.sing_tol)[1]
             except SingularPointError:
                 continue
             if abs(log_val - lam) <= 1e-6 * (1.0 + abs(lam)):

@@ -6,9 +6,10 @@ import time
 
 import pytest
 
-from quadode import QuadraticSystem, eval_trajectory, solve_ivp
+from quadode import QuadraticSystem, decompose, eval_trajectory, solve_ivp
 from quadode import cli
 from quadode.cli import main
+from quadode.inversion import alpha_from_change
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
 
 
@@ -54,6 +55,9 @@ class TestCheck:
         assert len(report["branches"]) == 2
         assert report["diagnostics"]["line_residual"] <= 1e-12
         assert report["diagnostics"]["roundtrip_deviation"] <= 1e-12
+        # alpha, the pulled coefficient rows of the plus branch, is built by check
+        alpha = alpha_from_change(EXAMPLE1, decompose(EXAMPLE1).plus.change)
+        assert report["diagnostics"]["alpha"] == [[[v.real, v.imag] for v in row] for row in alpha]
         betas = {tuple(b["beta"]) for b in report["branches"]}
         assert betas == {(-3.0, 0.0)} or all(abs(b[0] + 3) < 1e-12 for b in betas)
 

@@ -1,6 +1,7 @@
 """Rescaling, the exponential lift, and isochrony."""
 
 import cmath
+import dataclasses
 import math
 import random
 import time
@@ -38,9 +39,10 @@ from quadode import (
     time_warp,
 )
 from quadode.canonical import eval_canonical_general
-from quadode.extensions import _warp_log
+from quadode import extensions
+from quadode.extensions import _WarpLog
 from conftest import ALL_EXAMPLES, EXAMPLE1, EXAMPLE2, EXAMPLE3, sample_solvable_system
-from dense_walk import dense_warp_path, walked_log, walked_singular_times
+from dense_walk import dense_warp_path, per_call_warp_log, walked_log, walked_singular_times
 
 
 def close(z, w, tol=1e-14):
@@ -208,6 +210,11 @@ class TestTimeWarp:
             assert abs(abs(tau - 1j) - 1.0) <= 1e-12
 
 
+def _warp_log(y10, eta, t, sing_tol):
+    """s(t) and log s(t) from the library's closed form, built for one call."""
+    return _WarpLog(y10, eta).point(t, sing_tol)[2:]
+
+
 def rel_log_error(got, want):
     return abs(got - want) / (1.0 + abs(want))
 
@@ -306,6 +313,22 @@ class TestWarpLog:
         for t in (0.9 * tau0, 1.01 * tau0, 2 * tau0, 5 * tau0):
             s_walk, log_walk = walked_log(clear, eta, t)
             assert rel_log_error(_warp_log(clear, eta, t, 1e-9)[1], log_walk) <= 1e-12
+
+    @pytest.mark.parametrize("omega", [-1.0, 1.0])
+    def test_first_pass_is_the_earliest(self, omega):
+        # |y1(0)/eta| = |1 + y1(0)/eta|: the circle of s runs through 0 once
+        # a turn, and the first pass is the earliest of those times for
+        # either sense of rotation (for omega < 0 the last one in (0, t) was
+        # reported)
+        eta, r = 1j * omega, -0.5 + 0.3j
+        y10 = r * eta  # 0.3 + 0.5j for omega = -1
+        first = (cmath.log((1 + r) / r) / eta).real % (2 * math.pi)
+        form = _WarpLog(y10, eta)
+        assert abs(form.first_pass(40.0, 1e-9) - first) <= 1e-12
+        assert abs(form.s(first)) <= 1e-15
+        with pytest.raises(SingularPointError) as excinfo:
+            form.point(40.0, 1e-9)
+        assert excinfo.value.t == form.first_pass(40.0, 1e-9)
 
 
 class TestSolveLifted:
@@ -421,6 +444,128 @@ class TestSolveLifted:
                 eval_lifted(traj, t)
 
 
+class TestPassesOverTurns:
+    @pytest.mark.parametrize("turns", [100, 10**6])
+    def test_first_of_the_passes_nearly_imaginary_eta(self, turns):
+        # Re(eta)/|eta| = 2e-11: the zeros of s approach the real axis by
+        # ~6e-11 a turn, so the path passes within the pole test of 0 for
+        # several turns before it meets its nearest zero; the first of those
+        # passes is reported, and a turn earlier the test fails
+        eta, tol = complex(2e-11, 1.0), ToleranceConfig()
+
+        def zero(k):  # the k-th zero's real part, for y10 placed below
+            return 2 * math.pi * k + 1.0
+
+        y10 = 1.0 / time_warp(eta, zero(turns))
+        form = _WarpLog(y10, eta)
+
+        def meets_test(tau):
+            w = y10 * time_warp(eta, tau)
+            return abs(1 - w) <= tol.sing_tol * (1 + abs(w))
+
+        first = form.first_pass(zero(turns) - 3.0, tol.sing_tol)
+        k = round((first - 1.0) / (2 * math.pi))
+        assert turns - 30 < k < turns - 1 and abs(first - zero(k)) <= 1e-9 * zero(k)
+        assert meets_test(first) and not meets_test(zero(k - 1))
+        assert form.first_pass(first, tol.sing_tol) == math.inf
+        assert form.first_pass(first + 1e-6, tol.sing_tol) == first
+        with pytest.raises(SingularPointError) as excinfo:
+            form.point(zero(k + 2) + 0.5, tol.sing_tol)
+        assert excinfo.value.t == first
+
+
+def lifted_near_pole_case(rng, stratum):
+    """(lifted system, z(0), eta): EXAMPLE2 lifted with eta of the stratum,
+    and z(0) whose pulled y1(0) is random, or puts a pass of the warped path
+    1e-13 or 1e-5 from the pole at a random time."""
+    if stratum == "negative omega":
+        eta = -1j * rng.uniform(0.3, 2.0)
+    elif stratum == "positive omega":
+        eta = 1j * rng.uniform(0.3, 2.0)
+    elif stratum == "real":
+        eta = complex(rng.choice((-1, 1)) * rng.uniform(0.1, 1.5))
+    else:
+        eta = cmath.rect(rng.uniform(0.1, 2.0), rng.uniform(0, 2 * math.pi))
+    miss = rng.choice((None, 1e-13, 1e-5))
+    if miss is None:
+        y10 = cmath.rect(rng.uniform(0.05, 1.5), rng.uniform(0, 2 * math.pi))
+    else:
+        y10 = near_miss(eta, rng.uniform(0.2, 3.0), miss)
+    y0 = (y10, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    zbar = (0.1, -0.2)
+    (b11, b12), (b21, b22) = decompose(EXAMPLE2).plus.b
+    z0 = (b11 * y0[0] + b12 * y0[1] + zbar[0], b21 * y0[0] + b22 * y0[1] + zbar[1])
+    return lift(EXAMPLE2, LiftParams(zbar=zbar, eta=eta)), z0, eta
+
+
+def per_call_eval(traj, t, tol):
+    """eval_lifted with a closed form built for this one call and the pass
+    test over the zeros nearest the real axis within [0, t]."""
+    sol, eta, zbar = traj.canonical, traj.lifted.eta, traj.lifted.zbar
+    s, log_s = per_call_warp_log(sol.y10, eta, t, tol.sing_tol)
+    y = eval_canonical_general(sol, time_warp(eta, t), s, log_s, tol)
+    (b11, b12), (b21, b22) = traj.decomposition.change.b
+    growth = cmath.exp(eta * t)
+    return (
+        growth * (b11 * y[0] + b12 * y[1]) + zbar[0],
+        growth * (b21 * y[0] + b22 * y[1]) + zbar[1],
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularPointError as exc:
+        return ("raises", exc.factor, exc.t)
+
+
+class TestSharedForm:
+    """A trajectory builds the closed form of log s once, and every
+    eval_lifted shares it and its list of pass candidates."""
+
+    @pytest.mark.parametrize("stratum", ["negative omega", "positive omega", "real", "general"])
+    def test_eval_matches_per_call_reference(self, stratum):
+        rng = random.Random(f"shared-form/{stratum}")
+        tol = ToleranceConfig()
+        raised = returned = 0
+        for _ in range(60):
+            lifted, z0, eta = lifted_near_pole_case(rng, stratum)
+            traj = solve_lifted(lifted, z0, t_max=2.0)
+            for t in sorted(rng.uniform(0.0, 6.0) for _ in range(12)):
+                got = outcome(eval_lifted, traj, t, tol)
+                want = outcome(per_call_eval, traj, t, tol)
+                if want[0] == "raises":
+                    assert got == want
+                    raised += 1
+                    continue
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-12 * (1 + abs(w))
+                returned += 1
+        assert raised >= 20 and returned >= 200
+
+    def test_form_built_once_per_trajectory(self, monkeypatch):
+        builds = []
+        init = _WarpLog.__init__
+
+        def counting(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(_WarpLog, "__init__", counting)
+        report = isochrony_check(EXAMPLE3, 1.0)
+        lifted, z0 = TestIsochrony.two_turn_orbit()
+        traj = solve_lifted(lifted, z0, t_max=report.period)
+        assert len(builds) == 2  # one for the singular times, one kept by the trajectory
+        for t in (0.0, 0.3, 7.5, 100.0):
+            eval_lifted(traj, t)
+        periodicity_deviation(traj, report.period)
+        assert len(builds) == 2
+        # a trajectory copied with another lift builds its own form
+        other = lift(EXAMPLE3, LiftParams(zbar=lifted.zbar, eta=0.5j))
+        assert dataclasses.replace(traj, lifted=other)._warp.eta == 0.5j
+        assert len(builds) == 3
+
+
 def lifted_case(rng, stratum):
     """(canonical solution, eta, t_max) of one stratum.  A quarter of the
     draws put a pole on the path at a real time t0, a quarter a denominator
@@ -473,6 +618,23 @@ class TestLiftedSingularTimes:
             assert times == walked_singular_times(sol, eta, t_max, tol)
             found += len(times)
         assert found >= 100
+
+    @pytest.mark.parametrize("eta", [-0.5 - 1j, -0.5 + 1j])
+    def test_path_ends_at_the_first_pass(self, eta, monkeypatch):
+        # a decaying path passes 1.5e-9 from 0 at t = 6: within the pole
+        # test, so nothing past it is evaluated, yet too far from the real
+        # axis for a real pole; the waypoints stop at the pass instead of
+        # running on at eight per turn to t_max (~350 calls)
+        calls = []
+        curve = extensions._growth_and_warp
+        monkeypatch.setattr(
+            extensions, "_growth_and_warp", lambda eta, t: calls.append(t) or curve(eta, t)
+        )
+        y0 = CanonicalState(near_miss(eta, 6.0, 1.5e-9), 0.2)
+        sol = solve_canonical(CanonicalParams(0.3 + 0.1j, -0.4 + 0.2j), y0)
+        calls.clear()
+        assert lifted_singular_times(sol, eta, 200.0) == []
+        assert len(calls) <= 60
 
 
 class TestIsochrony:
@@ -547,11 +709,12 @@ class TestIsochrony:
     def test_enumeration_work_per_turn(self, monkeypatch):
         # the singular-time enumeration evaluates the warped path at a fixed
         # number of waypoints per turn, not at a density in |eta| t
-        import quadode.extensions as extensions
 
         calls = []
-        warp = extensions.time_warp
-        monkeypatch.setattr(extensions, "time_warp", lambda eta, t: calls.append(t) or warp(eta, t))
+        curve = extensions._growth_and_warp
+        monkeypatch.setattr(
+            extensions, "_growth_and_warp", lambda eta, t: calls.append(t) or curve(eta, t)
+        )
         lifted, z0 = self.two_turn_orbit()
         period = isochrony_check(EXAMPLE3, 1.0).period
         counts = []

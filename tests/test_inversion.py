@@ -10,6 +10,7 @@ from quadode import (
     CanonicalParams,
     DegenerateInversionError,
     InternalConsistencyError,
+    NonInvertibleChangeError,
     NotSolvableError,
     QuadraticSystem,
     alpha_from_change,
@@ -18,6 +19,7 @@ from quadode import (
     forward_map,
     linear_change_from_b,
 )
+from quadode import inversion
 from conftest import (
     ALL_EXAMPLES,
     EXAMPLE1,
@@ -126,7 +128,8 @@ class TestDecomposeGolden:
             diag = decompose(sys).diagnostics
             assert diag.line_residual <= 1e-12
             assert diag.roundtrip_deviation <= 1e-12
-            assert diag.alpha is not None
+            # alpha, which only check reports, is built by check alone
+            assert not hasattr(diag, "alpha")
 
     def test_not_solvable_raises_with_residuals(self):
         with pytest.raises(NotSolvableError) as excinfo:
@@ -419,3 +422,82 @@ class TestHoleStrata:
         for _ in range(25):
             rho, b = sample_decomposition_data(rng)
             assert_recovers_delta(rho, tuple(tuple(v / 1e4 for v in row) for row in b))
+
+
+def scaled_system(sys, factor):
+    return QuadraticSystem(tuple(tuple(v * factor for v in row) for row in sys.c))
+
+
+class TestExtremeScales:
+    """Coefficients far from 1 decompose, or fail with a typed error."""
+
+    @pytest.mark.parametrize("size", [1e150, 1e154])
+    def test_tiny_coefficients_decompose(self, size):
+        # |b| ~ size gives coefficients ~ 1/size: at the parent 1e150 raised a
+        # bare OverflowError (norm**1.5) and 1e154 a ZeroDivisionError
+        rho = CanonicalParams(0.3 + 0.1j, -0.4 + 0.2j)
+        rng = random.Random(f"tiny/{size}")
+        checked = 0
+        for _ in range(10):
+            b = tuple(tuple(size * unit_disc(rng) for _ in range(2)) for _ in range(2))
+            if abs(b[0][0] * b[1][1] - b[0][1] * b[1][0]) < 0.1 * size * size:
+                continue
+            result = decompose(forward_map(rho, linear_change_from_b(b)))
+            assert result.diagnostics.roundtrip_deviation <= 1e-9
+            assert_recovers_delta(rho, b)
+            checked += 1
+        assert checked >= 5
+
+    def test_power_of_two_scaling_is_exact(self):
+        # outside 2**-100 .. 2**100 decompose scales by a power of two: the
+        # b11 = 0 member keeps every digit of rho and its b moves by exactly
+        # the inverse power; the other branch keeps b11 = 1 of its own input
+        for sys in ALL_EXAMPLES:
+            want = next(d for d in decompose(sys).branches if d.b[0][0] == 0)
+            for exponent in (-480, -300, -101):
+                result = decompose(scaled_system(sys, 2.0**exponent))
+                got = next(d for d in result.branches if d.b[0][0] == 0)
+                assert got.rho == want.rho and got.delta == want.delta
+                assert got.b == tuple(tuple(v * 2.0**-exponent for v in row) for row in want.b)
+                assert got.change.a == tuple(
+                    tuple(v * 2.0**exponent for v in row) for row in want.change.a
+                )
+                assert {d.b[0][0] for d in result.branches} == {0, 1}
+                assert result.diagnostics.roundtrip_deviation <= 1e-12
+
+    def test_beyond_the_determinant_range(self):
+        # coefficients ~1e-200 would need det b ~ 1e400
+        with pytest.raises(NonInvertibleChangeError):
+            decompose(scaled_system(EXAMPLE1, 1e-200))
+
+    @pytest.mark.parametrize("factor", [1e-200, 1e100, 1e300])
+    def test_unsolvable_stays_unsolvable(self, factor):
+        with pytest.raises(NotSolvableError):
+            decompose(scaled_system(perturbed(EXAMPLE1, 0, 1), factor))
+
+    def test_large_coefficients_pass_the_constraints(self):
+        # |b| ~ 1e-100: the quintic constraints overflowed to NaN at the parent
+        # (a false NotSolvableError); now the constraints hold and the b11 = 1
+        # gauge hole of large coefficients answers, with a typed error
+        rho = CanonicalParams(0.3 + 0.1j, -0.4 + 0.2j)
+        b = ((0.6e-100, -0.3e-100 + 0.2e-100j), (0.1e-100 + 0.5e-100j, 0.8e-100))
+        sys = forward_map(rho, linear_change_from_b(b))
+        assert not constraint_residuals(sys).satisfied  # NaN residuals
+        with pytest.raises((NonInvertibleChangeError, InternalConsistencyError)):
+            decompose(sys)
+
+
+class TestRoundTripCheck:
+    def test_nan_rebuild_raises(self, monkeypatch):
+        # max() drops a NaN that is not its first argument; the round trip
+        # must not take a NaN coefficient for a match
+        rebuild = inversion.forward_rows
+
+        def with_nan(rho, change):
+            rows = rebuild(rho, change)
+            return (rows[0], (rows[1][0], math.nan * 1j, rows[1][2]))
+
+        monkeypatch.setattr(inversion, "forward_rows", with_nan)
+        with pytest.raises(InternalConsistencyError) as excinfo:
+            decompose(EXAMPLE1)
+        assert math.isnan(excinfo.value.diagnostics.roundtrip_deviation)

@@ -28,6 +28,7 @@ from quadode import (
     solve_lifted,
 )
 from quadode import extensions, solver
+from quadode.transform import linear_change_unchecked
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, sample_solvable_system
 
 SQRT5 = math.sqrt(5.0)
@@ -223,18 +224,19 @@ class TestTrajectoryProperties:
 
 
 def count_change_builds(monkeypatch) -> list:
-    """Record every linear_change_from_b call made through any quadode module."""
+    """Record every change built through any quadode module: calls of
+    linear_change_unchecked, which linear_change_from_b also goes through."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args[0])
-        return linear_change_from_b(*args, **kwargs)
+        return linear_change_unchecked(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "quadode" and (
-            getattr(module, "linear_change_from_b", None) is linear_change_from_b
+            getattr(module, "linear_change_unchecked", None) is linear_change_unchecked
         ):
-            monkeypatch.setattr(module, "linear_change_from_b", counting)
+            monkeypatch.setattr(module, "linear_change_unchecked", counting)
     return calls
 
 
