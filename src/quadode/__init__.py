@@ -55,13 +55,7 @@ from .inversion import (
     constraint_residuals,
     decompose,
 )
-from .numerics import (
-    DEFAULT_TOLERANCES,
-    QuadraticRoots,
-    ToleranceConfig,
-    approx_rational,
-    solve_quadratic,
-)
+from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, approx_rational
 from .oracle import (
     REACHED_T_END,
     STATE_OVERFLOW,
@@ -112,7 +106,6 @@ __all__ = [
     "NoRootError",
     "NotSolvableError",
     "QuadOdeError",
-    "QuadraticRoots",
     "QuadraticSystem",
     "REACHED_T_END",
     "STATE_OVERFLOW",
@@ -149,6 +142,5 @@ __all__ = [
     "solve_canonical",
     "solve_ivp",
     "solve_lifted",
-    "solve_quadratic",
     "time_warp",
 ]

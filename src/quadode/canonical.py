@@ -99,12 +99,14 @@ def solve_canonical(
 ) -> CanonicalSolution:
     """Classify the initial-value problem and precompute its solution data.
 
-    All initial data are admitted.  The branch of delta is the principal
-    square root; the solution is invariant under delta -> -delta (which only
-    swaps u_plus and u_minus).
+    All finite initial data are admitted.  The branch of delta is the
+    principal square root; the solution is invariant under delta -> -delta
+    (which only swaps u_plus and u_minus).
     """
     rho1 = ensure_finite(p.rho1, "rho1")
     rho2 = ensure_finite(p.rho2, "rho2")
+    # also the guard of the solvers: pull_state overflows on some finite
+    # data, e.g. x(0) = (1e308, -1e308), or z(0) - zbar of a lift
     y10 = ensure_finite(y0.y1, "y1(0)")
     y20 = ensure_finite(y0.y2, "y2(0)")
     one_minus = 1.0 - rho2
@@ -194,8 +196,10 @@ def eval_canonical(
 
     The power/logarithm branch is continued along the straight base path
     s(t) = 1 - y1(0)*t from s(0) = 1; for a straight path this continuation
-    coincides with the principal branch.
+    coincides with the principal branch.  A non-finite t raises ValueError.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     if sol.case is SolutionCase.Y1_ZERO:
         return eval_canonical_general(sol, t, 1.0 + 0.0j, 0.0 + 0.0j, tol)
     s = 1.0 - sol.y10 * t
@@ -345,8 +349,8 @@ def singular_times(
     its log image lies in the box of its end values.  A target lam found
     there gives the candidate time (1 - exp(lam))/y1(0).
     """
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     pole_base = sol.y20 if sol.case is SolutionCase.Y1_ZERO else sol.y10
     candidates = [1.0 / pole_base] if pole_base != 0 else []
     if sol.case not in (SolutionCase.GENERIC, SolutionCase.DELTA_ZERO):

@@ -135,8 +135,8 @@ def _jc(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _system_doc(sys: QuadraticSystem) -> dict:
-    return {"coefficients": [[_jc(v) for v in row] for row in sys.c]}
+def _jc_rows(rows) -> list[list[list[float]]]:
+    return [[_jc(v) for v in row] for row in rows]
 
 
 def _fmt(value: float) -> str:
@@ -147,7 +147,7 @@ def _decomposition_doc(dec) -> dict:
     return {
         "branch": dec.branch,
         "beta": None if dec.beta is None else _jc(dec.beta),
-        "b": [[_jc(v) for v in row] for row in dec.b],
+        "b": _jc_rows(dec.b),
         "rho1": _jc(dec.rho.rho1),
         "rho2": _jc(dec.rho.rho2),
         "delta": _jc(dec.delta),
@@ -188,9 +188,8 @@ def cmd_check(args) -> int:
         _emit(report)
         return 0
     diag = inv.diagnostics
-    alpha = alpha_from_change(spec.system, inv.plus.change)
     report["diagnostics"] = {
-        "alpha": [[_jc(v) for v in row] for row in alpha],
+        "alpha": _jc_rows(alpha_from_change(spec.system, inv.plus.change)),
         "line_residual": diag.line_residual,
         "roundtrip_deviation": diag.roundtrip_deviation,
     }
@@ -199,9 +198,15 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _positive_flag(value: float, flag: str) -> float:
+    if not 0 < value < math.inf:
+        raise SpecFormatError(f"{flag} must be positive and finite, got {value!r}")
+    return value
+
+
 def _time_grid(t_end: float, t_step: float) -> list[float]:
-    if t_end <= 0 or t_step <= 0:
-        raise SpecFormatError("--t-end and --t-step must be positive")
+    _positive_flag(t_end, "--t-end")
+    _positive_flag(t_step, "--t-step")
     count = int(math.floor(t_end / t_step + 1e-9)) + 1
     return [i * t_step for i in range(count)]
 
@@ -210,10 +215,10 @@ def cmd_solve(args) -> int:
     spec = load_spec(args.spec, args)
     if spec.x0 is None:
         raise SpecFormatError("'solve' needs an x0 block in the spec document")
+    grid = _time_grid(args.t_end, args.t_step)
     traj = solve_ivp(
         spec.system, spec.x0, branch=args.branch, t_max=args.t_end, tol=spec.tol
     )
-    grid = _time_grid(args.t_end, args.t_step)
     band = 10.0 * spec.tol.sing_tol
     sing = traj.t_singular
     rows = []
@@ -243,11 +248,6 @@ def cmd_solve(args) -> int:
                 ",".join(_fmt(v) for v in (t, x1.real, x1.imag, x2.real, x2.imag))
             )
         out = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(out)
-        else:
-            _sys.stdout.write(out)
     else:
         doc = {
             "branch": args.branch,
@@ -256,12 +256,12 @@ def cmd_solve(args) -> int:
             "columns": ["t", "re_x1", "im_x1", "re_x2", "im_x2"],
             "rows": [[t, x1.real, x1.imag, x2.real, x2.imag] for t, x1, x2 in rows],
         }
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-        else:
-            _emit(doc)
+        out = json.dumps(doc, indent=2) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(out)
+    else:
+        _sys.stdout.write(out)
     return 0
 
 
@@ -280,37 +280,28 @@ def cmd_generate(args) -> int:
             "or --seed/--count"
         )
     if args.count is None:
-        rho1 = _parse_complex(args.rho1, "--rho1")
-        rho2 = _parse_complex(args.rho2, "--rho2")
+        rho = CanonicalParams(
+            _parse_complex(args.rho1, "--rho1"), _parse_complex(args.rho2, "--rho2")
+        )
         b = (
             (_parse_complex(args.b11, "--b11"), _parse_complex(args.b12, "--b12")),
             (_parse_complex(args.b21, "--b21"), _parse_complex(args.b22, "--b22")),
         )
-        change = linear_change_from_b(b)
-        sys_out = forward_map(CanonicalParams(rho1, rho2), change)
-        doc = _system_doc(sys_out)
-        doc["generated_from"] = {
-            "rho": [_jc(rho1), _jc(rho2)],
-            "b": [[_jc(v) for v in row] for row in b],
-        }
-        _emit(doc)
+        _emit(_generated_doc(rho, b))
         return 0
     if args.count < 1:
         raise SpecFormatError("--count must be at least 1")
     rng = random.Random(args.seed)
-    docs = []
-    for _ in range(args.count):
-        rho, b = sample_solvable_parameters(rng)
-        change = linear_change_from_b(b)
-        sys_out = forward_map(rho, change)
-        doc = _system_doc(sys_out)
-        doc["generated_from"] = {
-            "rho": [_jc(rho.rho1), _jc(rho.rho2)],
-            "b": [[_jc(v) for v in row] for row in b],
-        }
-        docs.append(doc)
-    _emit(docs)
+    _emit([_generated_doc(*sample_solvable_parameters(rng)) for _ in range(args.count)])
     return 0
+
+
+def _generated_doc(rho: CanonicalParams, b) -> dict:
+    """The spec of the system that (rho, b) decomposes, with its origin."""
+    return {
+        "coefficients": _jc_rows(forward_map(rho, linear_change_from_b(b)).c),
+        "generated_from": {"rho": [_jc(rho.rho1), _jc(rho.rho2)], "b": _jc_rows(b)},
+    }
 
 
 def unit_disc(rng: random.Random) -> complex:
@@ -336,7 +327,7 @@ def cmd_validate(args) -> int:
         raise SpecFormatError("'validate' needs an x0 block in the spec document")
     traj = solve_ivp(spec.system, spec.x0, branch="plus", tol=spec.tol)
     if args.t_end is not None:
-        t_end = args.t_end
+        t_end = _positive_flag(args.t_end, "--t-end")
     else:
         ts = first_singular_time(traj)
         t_end = 0.5 * ts if ts is not None else default_horizon(spec.system, spec.x0)
@@ -368,8 +359,8 @@ def cmd_validate(args) -> int:
 
 def _omega_from(args, spec) -> float:
     if args.omega is not None:
-        if args.omega == 0:
-            raise SpecFormatError("--omega must be nonzero")
+        if not (math.isfinite(args.omega) and args.omega != 0):
+            raise SpecFormatError(f"--omega must be finite and nonzero, got {args.omega!r}")
         return args.omega
     lp = spec.lift_params
     if lp is not None and lp.eta.imag != 0 and abs(lp.eta.real) <= 1e-15 * abs(lp.eta):
@@ -386,7 +377,7 @@ def cmd_lift(args) -> int:
         {
             "eta": _jc(lifted.eta),
             "zbar": [_jc(v) for v in lifted.zbar],
-            "d": [[_jc(v) for v in row] for row in lifted.d],
+            "d": _jc_rows(lifted.d),
         }
     )
     return 0

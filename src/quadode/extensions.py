@@ -40,6 +40,7 @@ from .numerics import (
     ToleranceConfig,
     approx_rational,
     ensure_finite,
+    worst_deviation,
 )
 from .solver import prepare
 from .transform import Pair, QuadraticSystem, push_state
@@ -404,7 +405,7 @@ def solve_lifted(
     """
     z0 = (ensure_finite(z0[0], "z1(0)"), ensure_finite(z0[1], "z2(0)"))
     x0 = (z0[0] - ls.zbar[0], z0[1] - ls.zbar[1])
-    x0_prepared, dec, canonical = prepare(ls.base, x0, branch, tol)
+    dec, canonical = prepare(ls.base, x0, branch, tol)
     if t_max is None:
         t_max = 10.0 / (1.0 + abs(ls.eta) + ls.base.max_abs() * max(abs(x0[0]), abs(x0[1])))
     sing = lifted_singular_times(canonical, ls.eta, t_max, tol)
@@ -413,7 +414,7 @@ def solve_lifted(
         decomposition=dec,
         canonical=canonical,
         z0=z0,
-        x0=x0_prepared,
+        x0=x0,
         t_singular=tuple(sing),
     )
 
@@ -425,8 +426,10 @@ def eval_lifted(
 
     The cost does not depend on t.  Raises SingularPointError at a pole and
     at every t past a point where the warped path 1 - y1(0)*warp came within
-    the pole test of 0.
+    the pole test of 0.  A non-finite t raises ValueError.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     sol, eta, zbar = traj.canonical, traj.lifted.eta, traj.lifted.zbar
     if traj._warp is not None:
         growth, tau, s, log_s = traj._warp.point(t, tol.sing_tol)
@@ -470,8 +473,8 @@ def lifted_singular_times(
     same closed form at that time, which also drops candidates the path
     reaches only past a pole.
     """
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if abs(eta) * t_max <= _ETA_NEGLIGIBLE:
         return singular_times(sol, t_max, tol)
     pole_base = sol.y20 if sol.case is SolutionCase.Y1_ZERO else sol.y10
@@ -509,8 +512,8 @@ def isochrony_check(
     terms, k2 <= max_den); then every solution of the lifted system is
     periodic with period 2*pi*k2/|omega|.
     """
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
+    if not (math.isfinite(omega) and omega != 0):
+        raise ValueError(f"omega must be finite and nonzero, got {omega!r}")
     delta = decompose(sys, tol).plus.delta
     rational = None
     if abs(delta.imag) <= _RATIONAL_TOL * max(1.0, abs(delta)):
@@ -532,13 +535,11 @@ def periodicity_deviation(
     interior_times=None,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> float:
-    """Max of |z(t + period) - z(t)| / (1 + |z(t)|) over t = 0 and interiors."""
+    """Max of |z(t + period) - z(t)| / (1 + |z(t)|) over t = 0 and interiors,
+    NaN when any term is NaN."""
     if interior_times is None:
         interior_times = [period * f for f in (0.13, 0.29, 0.47, 0.71, 0.88)]
-    worst = 0.0
-    for t in [0.0, *interior_times]:
-        z_t = eval_lifted(traj, t, tol)
-        z_shift = eval_lifted(traj, t + period, tol)
-        diff = max(abs(z_shift[0] - z_t[0]), abs(z_shift[1] - z_t[1]))
-        worst = max(worst, diff / (1.0 + max(abs(z_t[0]), abs(z_t[1]))))
-    return worst
+    return worst_deviation(
+        (eval_lifted(traj, t, tol), eval_lifted(traj, t + period, tol))
+        for t in [0.0, *interior_times]
+    )

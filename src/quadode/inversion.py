@@ -63,9 +63,9 @@ from .transform import (
 
 AlphaRows = tuple[tuple[complex, complex, complex], tuple[complex, complex, complex]]
 
-# decompose inverts systems whose largest coefficient lies outside this range
-# after scaling them by a power of two, which is exact: the constraints are
-# quintic in the coefficients, and the normal gauge forms their inverse
+# A system whose largest coefficient lies outside this range is judged and
+# inverted after scaling it by a power of two, which is exact: the constraints
+# are quintic in the coefficients, and the normal gauge forms their inverse
 # squares, so they would overflow or underflow long before the coefficients.
 _SCALE_RANGE = (2.0**-100, 2.0**100)
 
@@ -76,7 +76,9 @@ class ConstraintResiduals:
 
     ``satisfied`` means both |r_i| <= eq_tol * scale_i.  The scales are sums
     of the magnitudes of the expanded monomials, which makes the verdict
-    invariant under coefficient rescaling.
+    invariant under coefficient rescaling.  For a system whose largest
+    coefficient lies outside 2**-100 to 2**100, all four are those of the
+    system scaled by a power of two into that range.
     """
 
     r1: complex
@@ -147,7 +149,23 @@ class InversionResult:
         raise ValueError(f"branch must be 'plus' or 'minus', got {label!r}")
 
 
-def _constraint_parts(sys: QuadraticSystem):
+def _unit_scaled(sys: QuadraticSystem) -> tuple[QuadraticSystem, float, float]:
+    """sys times unit, a power of two that brings its largest coefficient into
+    _SCALE_RANGE (exactly, unless coefficients underflow), with unit and that
+    largest coefficient; unit = 1 for a system in the range, or the zero system."""
+    sys_scale = sys.max_abs()
+    if sys_scale == 0.0 or _SCALE_RANGE[0] <= sys_scale <= _SCALE_RANGE[1]:
+        return sys, 1.0, sys_scale
+    unit = 2.0 ** -max(math.frexp(sys_scale)[1], -1023)
+    sys = QuadraticSystem(tuple(tuple(v * unit for v in row) for row in sys.c))
+    return sys, unit, sys.max_abs()
+
+
+def constraint_residuals(
+    sys: QuadraticSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES
+) -> ConstraintResiduals:
+    """Evaluate both solvability constraints as written, with normalizers."""
+    sys = _unit_scaled(sys)[0]
     n_val = sys.c12 * sys.c22 - 4.0 * sys.c13 * sys.c21
     n_scale = abs(sys.c12 * sys.c22) + 4.0 * abs(sys.c13 * sys.c21)
     d_val = (sys.c22 - 2.0 * sys.c11) * sys.c22 + 2.0 * sys.c21 * (sys.c12 - 2.0 * sys.c23)
@@ -157,14 +175,6 @@ def _constraint_parts(sys: QuadraticSystem):
         + 2.0 * abs(sys.c21 * sys.c12)
         + 4.0 * abs(sys.c21 * sys.c23)
     )
-    return n_val, n_scale, d_val, d_scale
-
-
-def constraint_residuals(
-    sys: QuadraticSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> ConstraintResiduals:
-    """Evaluate both solvability constraints as written, with normalizers."""
-    n_val, n_scale, d_val, d_scale = _constraint_parts(sys)
     r1 = (
         2.0 * sys.c21 * n_val * n_val
         + (sys.c22 - 2.0 * sys.c11) * n_val * d_val
@@ -233,20 +243,15 @@ def decompose(
     system, an invariant line without flow, or y1' = 0), and
     InternalConsistencyError when a branch does not round-trip through the
     forward map.  A system whose largest coefficient lies outside 2**-100 to
-    2**100 is inverted after an exact scaling by a power of two, and the
-    residuals of a NotSolvableError are then those of the scaled system;
-    NonInvertibleChangeError is raised when a branch's b or its inverse has a
-    determinant beyond floating point (coefficients below about 1e-154).
+    2**100 is inverted after an exact scaling by a power of two, as
+    constraint_residuals judges it; NonInvertibleChangeError is raised when a
+    branch's b or its inverse has a determinant beyond floating point
+    (coefficients below about 1e-154).
     """
-    sys_scale = sys.max_abs()
+    # (rho, b) decomposes sys exactly when (rho, b / unit) decomposes sys * unit
+    sys, unit, sys_scale = _unit_scaled(sys)
     if sys_scale == 0.0:
         raise DegenerateInversionError("the zero system has no canonical form", formula="Q")
-    unit = 1.0
-    if not _SCALE_RANGE[0] <= sys_scale <= _SCALE_RANGE[1]:
-        # (rho, b) decomposes sys exactly when (rho, b / unit) decomposes sys * unit
-        unit = 2.0 ** -max(math.frexp(sys_scale)[1], -1023)
-        sys = QuadraticSystem(tuple(tuple(v * unit for v in row) for row in sys.c))
-        sys_scale = sys.max_abs()
     residuals = constraint_residuals(sys, tol)
     if not residuals.satisfied:
         raise NotSolvableError(

@@ -1,5 +1,5 @@
-"""Complex scalar utilities: tolerance policy, quadratic roots, and rational
-recognition.
+"""Complex scalar utilities: tolerance policy, the deviation measure of the
+gates, quadratic roots, and rational recognition.
 
 All routines work on plain ``complex`` values and are pure functions.
 """
@@ -10,7 +10,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import NoRootError
 
@@ -48,6 +48,23 @@ def ensure_finite(value: complex, name: str = "value") -> complex:
     return z
 
 
+def worst_deviation(pairs: Iterable[tuple[Sequence[complex], Sequence[complex]]]) -> float:
+    """Largest |x - y| / (1 + |x|) over pairs of states (x, y), in the
+    max-component norm; 0.0 for no pairs.
+
+    NaN as soon as any term is NaN: ``max`` keeps its first argument when the
+    other is NaN, so a plain running maximum would let a NaN state pass a gate.
+    """
+    worst = 0.0
+    for x, y in pairs:
+        d1, d2, s1, s2 = abs(x[0] - y[0]), abs(x[1] - y[1]), abs(x[0]), abs(x[1])
+        dev = max(d1, d2) / (1.0 + max(s1, s2))
+        if math.isnan(d1 + d2 + s1 + s2 + dev):  # a sum of terms >= 0 is NaN only from a NaN
+            return math.nan
+        worst = max(worst, dev)
+    return worst
+
+
 class QuadraticRoots(NamedTuple):
     first: tuple[complex, complex]
     second: tuple[complex, complex]
@@ -60,11 +77,9 @@ def solve_quadratic(c2: complex, c1: complex, c0: complex) -> QuadraticRoots:
     ``(c0, q)`` with ``q = -(c1 +- sqrt(c1^2 - 4 c2 c0))/2`` signed to avoid
     cancellation, so a vanishing leading coefficient gives the root at
     infinity ``(1, 0)`` rather than a special case.  A double root with
-    ``q == 0`` is returned twice.  The zero form raises NoRootError.
+    ``q == 0`` is returned twice.  The zero form raises NoRootError.  The
+    coefficients must be finite; they are not checked.
     """
-    c2 = ensure_finite(c2, "c2")
-    c1 = ensure_finite(c1, "c1")
-    c0 = ensure_finite(c0, "c0")
     size = max(abs(c2), abs(c1), abs(c0))
     if size == 0.0:
         raise NoRootError("degenerate equation 0 = 0: every value is a root")

@@ -8,8 +8,11 @@ singularity) or the state magnitude overflows, and records which.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+from .numerics import worst_deviation
 
 Pair = tuple[complex, complex]
 
@@ -43,11 +46,6 @@ class IntegrationResult:
     last_time: float
 
 
-def _as_rhs(system) -> Callable[[Pair], Pair]:
-    rhs = getattr(system, "rhs", None)
-    return rhs if rhs is not None else system
-
-
 def _norm(y: Pair) -> float:
     return max(abs(y[0]), abs(y[1]))
 
@@ -70,9 +68,9 @@ def integrate(
     """
     if not (rel_tol > 0 and abs_tol > 0):
         raise ValueError("tolerances must be positive")
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
-    rhs = _as_rhs(system)
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    rhs = getattr(system, "rhs", system)
     y: Pair = (complex(y0[0]), complex(y0[1]))
     t = 0.0
 
@@ -84,7 +82,7 @@ def integrate(
             t_end if t_end < te <= t_end * (1.0 + 1e-12) else float(te)
             for te in sorted(float(te) for te in t_eval)
         ]
-        if any(te < 0 or te > t_end for te in eval_times):
+        if not all(0 <= te <= t_end for te in eval_times):
             raise ValueError("t_eval times must lie in [0, t_end]")
 
     times: list[float] = []
@@ -177,7 +175,7 @@ def compare_trajectories(
 
     Samples ``sample_count`` of the recorded times (evenly spread); the
     deviation at each is |closed(t) - numeric(t)| / (1 + |closed(t)|) in the
-    max-component norm.
+    max-component norm, and NaN when any of them is NaN.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
@@ -192,12 +190,4 @@ def compare_trajectories(
         indices = sorted(
             {round(i * (n - 1) / (sample_count - 1)) for i in range(sample_count)}
         )
-    worst = 0.0
-    for idx in indices:
-        t = numeric.times[idx]
-        ref = numeric.states[idx]
-        val = closed(t)
-        diff = max(abs(val[0] - ref[0]), abs(val[1] - ref[1]))
-        norm = 1.0 + max(abs(val[0]), abs(val[1]))
-        worst = max(worst, diff / norm)
-    return worst
+    return worst_deviation((closed(numeric.times[i]), numeric.states[i]) for i in indices)

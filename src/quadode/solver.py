@@ -11,7 +11,7 @@ from .canonical import (
     solve_canonical,
 )
 from .inversion import Decomposition, decompose
-from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, ensure_finite
+from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, ensure_finite, worst_deviation
 from .transform import Pair, QuadraticSystem, pull_state, push_state
 
 
@@ -43,12 +43,11 @@ def _solve_branch(dec: Decomposition, x0: Pair, tol: ToleranceConfig) -> Canonic
     return solve_canonical(dec.rho, pull_state(dec.change, x0), tol)
 
 
-def prepare(sys, x0, branch, tol):
-    """Checked x0, the branch's decomposition and the solved canonical
-    problem: the common start of plain and lifted solves."""
-    x0 = _checked_x0(x0)
+def prepare(sys, x0: Pair, branch, tol):
+    """The branch's decomposition and the solved canonical problem through an
+    x0 the caller has checked: the common start of plain and lifted solves."""
     dec = decompose(sys, tol).branch(branch)
-    return x0, dec, _solve_branch(dec, x0, tol)
+    return dec, _solve_branch(dec, x0, tol)
 
 
 def solve_ivp(
@@ -64,7 +63,8 @@ def solve_ivp(
     case, not an error.  Singular times are reported up to ``t_max``
     (default: ``default_horizon``).
     """
-    x0, dec, canonical = prepare(sys, x0, branch, tol)
+    x0 = _checked_x0(x0)
+    dec, canonical = prepare(sys, x0, branch, tol)
     horizon = default_horizon(sys, x0) if t_max is None else t_max
     sing = singular_times(canonical, horizon, tol)
     return ClosedFormTrajectory(
@@ -97,16 +97,16 @@ def branch_equivalence_check(
 
     Both decompositions of the same system must describe one trajectory;
     this evaluates both, from one inversion, at the sample times and returns
-    max |x_plus - x_minus| / (1 + |x_plus|) (max-component norm).
+    max |x_plus - x_minus| / (1 + |x_plus|) (max-component norm), NaN when
+    any term is NaN.
     """
     x0 = _checked_x0(x0)
     plus, minus = decompose(sys, tol).branches
     plus_sol, minus_sol = _solve_branch(plus, x0, tol), _solve_branch(minus, x0, tol)
-    worst = 0.0
-    for t in t_samples:
-        xp = push_state(plus.change, eval_canonical(plus_sol, t, tol))
-        xm = push_state(minus.change, eval_canonical(minus_sol, t, tol))
-        diff = max(abs(xp[0] - xm[0]), abs(xp[1] - xm[1]))
-        norm = 1.0 + max(abs(xp[0]), abs(xp[1]))
-        worst = max(worst, diff / norm)
-    return worst
+    return worst_deviation(
+        (
+            push_state(plus.change, eval_canonical(plus_sol, t, tol)),
+            push_state(minus.change, eval_canonical(minus_sol, t, tol)),
+        )
+        for t in t_samples
+    )

@@ -75,7 +75,7 @@ class QuadraticSystem:
         )
 
     def max_abs(self) -> float:
-        return max(abs(v) for row in self.c for v in row)
+        return max(map(abs, self.c[0] + self.c[1]))
 
 
 @dataclass(frozen=True)

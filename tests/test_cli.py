@@ -6,7 +6,15 @@ import time
 
 import pytest
 
-from quadode import QuadraticSystem, decompose, eval_trajectory, solve_ivp
+from quadode import (
+    CanonicalParams,
+    QuadraticSystem,
+    decompose,
+    eval_trajectory,
+    forward_map,
+    linear_change_from_b,
+    solve_ivp,
+)
 from quadode import cli
 from quadode.cli import main
 from quadode.inversion import alpha_from_change
@@ -84,6 +92,83 @@ class TestCheck:
         doc = tmp_path / "shape.json"
         doc.write_text(json.dumps({"coefficients": [[1, 2, 3], [4, 5, 6]]}))
         assert main(["check", str(doc)]) == 2
+
+    def test_huge_coefficients_report_finite_residuals(self, tmp_path, capsys):
+        # coefficients ~1e62: the quintic constraints overflow unless judged
+        # on the system scaled by a power of two; the b11 = 1 gauge hole then
+        # answers with a typed error in the report
+        rho = CanonicalParams(0.3 + 0.1j, -0.4 + 0.2j)
+        b = ((0.5e-62, 0.3e-62), (-0.2e-62, 0.7e-62))
+        sys = forward_map(rho, linear_change_from_b(b))
+        assert sys.max_abs() > 1e61
+        assert main(["check", str(write_spec(tmp_path / "huge.json", sys))]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["constraints"]["satisfied"] is True
+        assert all(math.isfinite(report["constraints"][k]) for k in ("rel1", "rel2"))
+        assert report["error"]["type"] in ("NonInvertibleChangeError", "InternalConsistencyError")
+
+
+def strict_json(text: str):
+    """json.loads that refuses the NaN and Infinity tokens, which are not JSON."""
+
+    def refuse(token):
+        raise ValueError(f"invalid JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Every JSON report on the reference specs is valid JSON."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{spec}"],
+            ["solve", "{spec}", "--t-end", "0.3", "--t-step", "0.05", "--format", "doc"],
+            ["validate", "{spec}"],
+        ],
+        ids=["check", "solve-doc", "validate"],
+    )
+    @pytest.mark.parametrize("fixture", ["spec1", "spec2", "spec3"])
+    def test_reports_parse_strictly(self, argv, fixture, request, capsys):
+        spec = request.getfixturevalue(fixture)
+        assert main([a.format(spec=spec) for a in argv]) == 0
+        strict_json(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["lift"], ["iso", "--verify-period"], ["iso", "--omega", "-1.5", "--verify-period"]],
+        ids=["lift", "iso-verify", "iso-verify-negative-omega"],
+    )
+    def test_lift_reports_parse_strictly(self, argv, spec3, capsys):
+        assert main([argv[0], spec3, *argv[1:]]) == 0
+        strict_json(capsys.readouterr().out)
+
+
+class TestNonFiniteFlags:
+    """A non-finite time, step or rate on the command line is a usage error
+    that names its flag: one error line, no output, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["solve", "{spec}", "--t-end", "1", "--t-step", "inf"], "--t-step"),
+            (["solve", "{spec}", "--t-end", "inf", "--t-step", "0.1"], "--t-end"),
+            (["solve", "{spec}", "--t-end", "nan", "--t-step", "0.1"], "--t-end"),
+            (["iso", "{spec}", "--omega", "nan"], "--omega"),
+            (["iso", "{spec}", "--omega", "inf"], "--omega"),
+            (["iso", "{spec}", "--omega=-inf", "--verify-period"], "--omega"),
+            (["validate", "{spec}", "--t-end", "inf"], "--t-end"),
+            (["validate", "{spec}", "--t-end", "nan"], "--t-end"),
+        ],
+    )
+    def test_usage_error(self, argv, flag, spec3, capsys):
+        assert main([a.format(spec=spec3) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert flag in lines[0]
 
 
 class TestSolve:

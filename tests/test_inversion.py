@@ -476,13 +476,16 @@ class TestExtremeScales:
             decompose(scaled_system(perturbed(EXAMPLE1, 0, 1), factor))
 
     def test_large_coefficients_pass_the_constraints(self):
-        # |b| ~ 1e-100: the quintic constraints overflowed to NaN at the parent
-        # (a false NotSolvableError); now the constraints hold and the b11 = 1
-        # gauge hole of large coefficients answers, with a typed error
+        # |b| ~ 1e-100: the quintic constraints would overflow to NaN on the
+        # coefficients themselves; judged on the system scaled by a power of
+        # two they hold, and the b11 = 1 gauge hole of large coefficients
+        # answers, with a typed error
         rho = CanonicalParams(0.3 + 0.1j, -0.4 + 0.2j)
         b = ((0.6e-100, -0.3e-100 + 0.2e-100j), (0.1e-100 + 0.5e-100j, 0.8e-100))
         sys = forward_map(rho, linear_change_from_b(b))
-        assert not constraint_residuals(sys).satisfied  # NaN residuals
+        res = constraint_residuals(sys)
+        assert res.satisfied
+        assert all(math.isfinite(v) for v in (abs(res.r1), abs(res.r2), res.scale1, res.scale2))
         with pytest.raises((NonInvertibleChangeError, InternalConsistencyError)):
             decompose(sys)
 

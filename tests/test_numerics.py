@@ -1,5 +1,6 @@
-"""Scalar numerics: quadratic roots, rational recognition, tolerances; and the
-chord increments of the dense reference walk."""
+"""Scalar numerics: the deviation measure, quadratic roots, rational
+recognition, tolerances; and the chord increments of the dense reference
+walk."""
 
 import cmath
 import math
@@ -9,13 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadode import (
-    NoRootError,
-    SingularPointError,
-    ToleranceConfig,
-    approx_rational,
-    solve_quadratic,
-)
+from quadode import NoRootError, SingularPointError, ToleranceConfig, approx_rational
+from quadode.numerics import solve_quadratic, worst_deviation
 from dense_walk import log_increment
 
 EQ_TOL = 1e-12
@@ -135,6 +131,48 @@ class TestSolveQuadratic:
             residual = abs(c2 * x * x + c1 * x * w + c0 * w * w)
             scale = abs(c2) * abs(x) ** 2 + abs(c1) * abs(x * w) + abs(c0) * abs(w) ** 2
             assert residual <= EQ_TOL * max(scale, 1e-300)
+
+
+def running_max_deviation(pairs) -> float:
+    """The gates' former loop: a running max(), which drops a later NaN."""
+    worst = 0.0
+    for x, y in pairs:
+        diff = max(abs(x[0] - y[0]), abs(x[1] - y[1]))
+        norm = 1.0 + max(abs(x[0]), abs(x[1]))
+        worst = max(worst, diff / norm)
+    return worst
+
+
+class TestWorstDeviation:
+    states = st.tuples(
+        *[st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)] * 2
+    )
+
+    @given(st.lists(st.tuples(states, states), max_size=4))
+    @settings(derandomize=True, max_examples=100)
+    def test_equals_running_max_without_nan(self, pairs):
+        # bit for bit, so that no gate's verdict moves on finite data
+        assert worst_deviation(pairs) == running_max_deviation(pairs)
+
+    def test_no_pairs(self):
+        assert worst_deviation([]) == 0.0
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_later_nan_term_is_nan(self, side, component):
+        good = ((1 + 1j, 2.0), (1 + 1j, 2.5))
+        bad = [[0.5, 0.25j], [0.5, 0.25j]]
+        bad[side][component] = complex(math.nan, 0.0)
+        pairs = [good, tuple(tuple(v) for v in bad), good]
+        assert math.isnan(worst_deviation(pairs))
+        assert not math.isnan(running_max_deviation(pairs))  # what the gates did
+
+    def test_infinite_state_is_nan(self):
+        # |x - y| / (1 + |x|) is inf/inf for an infinite closed form
+        assert math.isnan(worst_deviation([((1.0, 1.0), (1.0, 1.0)), ((math.inf, 0j), (0j, 0j))]))
+
+    def test_infinite_reference_is_inf(self):
+        assert worst_deviation([((1.0, 1.0), (math.inf, 1.0))]) == math.inf
 
 
 class TestApproxRational:
