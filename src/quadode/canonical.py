@@ -135,33 +135,36 @@ def solve_canonical(
     return CanonicalSolution(params, y10, y20, u0, u_plus, u_minus, delta, None, case)
 
 
+def pole_near(w: complex, sing_tol: float) -> bool:
+    """The pole test: whether s = 1 - w is within sing_tol*(1 + |w|) of 0."""
+    return abs(1.0 - w) <= sing_tol * (1.0 + abs(w))
+
+
 def eval_canonical_general(
     sol: CanonicalSolution,
+    t: float,
     warped_t: complex,
-    s: complex,
     log_s: complex,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> CanonicalState:
-    """Evaluate at a (possibly complex) time given s = 1 - y1(0)*warped_t and
-    a continued logarithm of s.
+    """State at real time t, whose time argument (complex on a lifted path) is
+    warped_t, given the logarithm of s = 1 - y1(0)*warped_t continued along it.
 
-    This is the shared core behind real-time evaluation and the exponential
-    lift, where the time argument traces a curve in the complex plane and the
-    logarithm must be continued along it.
+    The one judge of a singular point, for real-time evaluation and the
+    exponential lift alike: it raises SingularPointError, carrying t, when
+    ``pole_near`` holds for s (1 - y2(0)*warped_t on the y1 = 0 line) or a
+    ratio denominator is within sing_tol of 0.
     """
     case = sol.case
-    if case is SolutionCase.Y1_ZERO:
-        den = 1.0 - sol.y20 * warped_t
-        if abs(den) <= tol.sing_tol * (1.0 + abs(sol.y20 * warped_t)):
-            raise SingularPointError(
-                "pole of y2: 1 - y2(0) t vanishes", factor="1 - y2(0) t"
-            )
-        return CanonicalState(0.0 + 0.0j, sol.y20 / den)
-
-    if abs(s) <= tol.sing_tol * (1.0 + abs(sol.y10 * warped_t)):
+    pole, base = ("y2", sol.y20) if case is SolutionCase.Y1_ZERO else ("y1", sol.y10)
+    w = base * warped_t
+    if pole_near(w, tol.sing_tol):
         raise SingularPointError(
-            "pole of y1: 1 - y1(0) t vanishes", factor="1 - y1(0) t"
+            f"pole of {pole}: 1 - {pole}(0) t vanishes", factor=f"1 - {pole}(0) t", t=t
         )
+    s = 1.0 - w
+    if case is SolutionCase.Y1_ZERO:
+        return CanonicalState(0.0 + 0.0j, sol.y20 / s)
     y1 = sol.y10 / s
 
     if case in (SolutionCase.FIXED_POINT_PLUS, SolutionCase.FIXED_POINT_MINUS):
@@ -171,19 +174,17 @@ def eval_canonical_general(
         den = 1.0 + g * log_s
         if abs(den) <= tol.sing_tol * (1.0 + abs(g * log_s)):
             raise SingularPointError(
-                "zero of the logarithmic ratio denominator", factor="log denominator"
+                "zero of the logarithmic ratio denominator", factor="log denominator", t=t
             )
         u = (sol.u0 + sol.u_bar * g * log_s) / den
     else:
-        w = cmath.exp(-sol.delta * log_s)
+        power = cmath.exp(-sol.delta * log_s)
         dm = sol.u0 - sol.u_minus
         dp = sol.u0 - sol.u_plus
-        den = dm - dp * w
-        if abs(den) <= tol.sing_tol * (abs(dm) + abs(dp * w)):
-            raise SingularPointError(
-                "zero of the ratio denominator", factor="u denominator"
-            )
-        u = (sol.u_plus * dm - sol.u_minus * dp * w) / den
+        den = dm - dp * power
+        if abs(den) <= tol.sing_tol * (abs(dm) + abs(dp * power)):
+            raise SingularPointError("zero of the ratio denominator", factor="u denominator", t=t)
+        u = (sol.u_plus * dm - sol.u_minus * dp * power) / den
     return CanonicalState(y1, y1 * u)
 
 
@@ -200,15 +201,8 @@ def eval_canonical(
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    if sol.case is SolutionCase.Y1_ZERO:
-        return eval_canonical_general(sol, t, 1.0 + 0.0j, 0.0 + 0.0j, tol)
-    s = 1.0 - sol.y10 * t
-    if abs(s) <= tol.sing_tol * (1.0 + abs(sol.y10 * t)):
-        raise SingularPointError(
-            "pole of y1: 1 - y1(0) t vanishes", factor="1 - y1(0) t", t=t
-        )
-    log_s = cmath.log(s)
-    return eval_canonical_general(sol, t, s, log_s, tol)
+    s = 1.0 - sol.y10 * t  # 1 on the y1 = 0 line, where y1(0) is 0
+    return eval_canonical_general(sol, t, t, cmath.log(s) if s else 0j, tol)
 
 
 def denominator_log_targets(
@@ -322,7 +316,7 @@ def real_times(candidates: Iterable[complex], t_max: float) -> list[float]:
     times = sorted(
         tc.real
         for tc in candidates
-        if abs(tc.imag) <= _IMAG_TOL * (1.0 + abs(tc)) and 1e-300 < tc.real <= t_max
+        if abs(tc.imag) <= _IMAG_TOL * (1.0 + abs(tc)) and 0 < tc.real <= t_max
     )
     out: list[float] = []
     for t in times:
@@ -360,7 +354,7 @@ def singular_times(
     def line(t: float) -> complex:
         return 1.0 - y1 * t
 
-    t_foot = y1.real / abs(y1) ** 2  # where |s| is least; the pole if y1(0) is real
+    t_foot = y1.real / abs(y1) / abs(y1)  # where |s| is least; the pole if y1(0) is real
     pieces = [(0.0, t_max)]
     re_floor = -math.inf
     gap = (tol.sing_tol / math.e) ** 2 - abs(line(t_foot)) ** 2

@@ -28,7 +28,7 @@ from .extensions import (
 )
 from .inversion import alpha_from_change, constraint_residuals, decompose
 from .numerics import DEFAULT_TOLERANCES, ToleranceConfig
-from .oracle import compare_trajectories, integrate
+from .oracle import REACHED_T_END, compare_trajectories, integrate
 from .solver import (
     branch_equivalence_check,
     default_horizon,
@@ -205,9 +205,10 @@ def _positive_flag(value: float, flag: str) -> float:
 
 
 def _time_grid(t_end: float, t_step: float) -> list[float]:
-    _positive_flag(t_end, "--t-end")
-    _positive_flag(t_step, "--t-step")
-    count = int(math.floor(t_end / t_step + 1e-9)) + 1
+    rows = _positive_flag(t_end, "--t-end") / _positive_flag(t_step, "--t-step")
+    if rows == math.inf:
+        raise SpecFormatError(f"--t-end / --t-step overflows, got {t_end!r} / {t_step!r}")
+    count = int(math.floor(rows + 1e-9)) + 1
     return [i * t_step for i in range(count)]
 
 
@@ -332,17 +333,17 @@ def cmd_validate(args) -> int:
         ts = first_singular_time(traj)
         t_end = 0.5 * ts if ts is not None else default_horizon(spec.system, spec.x0)
     samples = [t_end * (i + 1) / 20.0 for i in range(20)]
-
-    if args.mutate:
-        # test hook: a sign-flipped exponent is a wrong closed form that the
-        # oracle comparison must flag
-        traj = replace(traj, canonical=replace(traj.canonical, delta=-traj.canonical.delta))
-
     numeric = integrate(spec.system, spec.x0, t_end, t_eval=samples)
+    if numeric.terminated != REACHED_T_END:
+        _notice(f"error: the oracle stopped ({numeric.terminated}) at t={_fmt(numeric.last_time)}")
+        return 1
     oracle_dev = compare_trajectories(
         lambda t: eval_trajectory(traj, t, spec.tol), numeric, len(samples)
     )
     branch_dev = branch_equivalence_check(spec.system, spec.x0, samples, spec.tol)
+    if math.isnan(oracle_dev + branch_dev):
+        _notice("error: a closed form is not finite at a sample time")
+        return 1
     passed = oracle_dev <= spec.tol.oracle_tol and branch_dev <= spec.tol.oracle_tol
     _emit(
         {
@@ -357,14 +358,14 @@ def cmd_validate(args) -> int:
     return 0 if passed else 1
 
 
-def _omega_from(args, spec) -> float:
+def _omega_from(args, spec) -> tuple[float, str]:
     if args.omega is not None:
         if not (math.isfinite(args.omega) and args.omega != 0):
             raise SpecFormatError(f"--omega must be finite and nonzero, got {args.omega!r}")
-        return args.omega
+        return args.omega, "--omega"
     lp = spec.lift_params
     if lp is not None and lp.eta.imag != 0 and abs(lp.eta.real) <= 1e-15 * abs(lp.eta):
-        return lp.eta.imag
+        return lp.eta.imag, "lift.eta"
     raise SpecFormatError("no --omega given and the spec's lift.eta is not purely imaginary")
 
 
@@ -385,8 +386,13 @@ def cmd_lift(args) -> int:
 
 def cmd_iso(args) -> int:
     spec = load_spec(args.spec, args)
-    omega = _omega_from(args, spec)
-    report = isochrony_check(spec.system, omega, max_den=args.max_den, tol=spec.tol)
+    omega, source = _omega_from(args, spec)
+    if args.max_den < 1:
+        raise SpecFormatError(f"--max-den must be at least 1, got {args.max_den}")
+    try:
+        report = isochrony_check(spec.system, omega, max_den=args.max_den, tol=spec.tol)
+    except ValueError as exc:
+        raise SpecFormatError(f"{source}: {exc}") from exc
     doc = {
         "delta": _jc(report.delta),
         "rational": list(report.rational) if report.rational else None,
@@ -460,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="closed form vs integrator cross-check")
     p.add_argument("spec")
     p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--mutate", action="store_true", help=argparse.SUPPRESS)
     _add_tol_flags(p)
     p.set_defaults(func=cmd_validate)
 

@@ -10,8 +10,10 @@ class QuadOdeError(Exception):
 class SingularPointError(QuadOdeError):
     """Evaluation at, or numerically too close to, a singular point.
 
-    ``factor`` names the offending denominator or path feature; ``t`` is the
-    evaluation time when known.
+    Raised only by ``canonical.eval_canonical_general``, with the evaluation
+    time as ``t``, and by the lifted pass rule, with the time of the earlier
+    pass at which the warped path met the pole test.  ``factor`` names the
+    offending denominator or path feature.
     """
 
     def __init__(self, message: str, factor: str | None = None, t: float | None = None):

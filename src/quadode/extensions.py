@@ -30,6 +30,7 @@ from .canonical import (
     SolutionCase,
     denominator_log_targets,
     eval_canonical_general,
+    pole_near,
     real_times,
     singular_times,
 )
@@ -270,8 +271,8 @@ class _WarpLog:
     def _at(self, tau: float) -> tuple[complex, complex, complex, complex]:
         growth, warp = _growth_and_warp(self.eta, tau)
         s = 1.0 - self.y10 * warp
-        if self.eta == 0:
-            return growth, warp, s, cmath.log(s)
+        if self.eta == 0 or not s:  # no logarithm at s = 0, where the evaluator raises
+            return growth, warp, s, cmath.log(s) if s else 0j
         if 0 < self.tau_star < tau:
             if self.k_after is None:
                 growth_star, warp_star = _growth_and_warp(self.eta, self.tau_star)
@@ -291,7 +292,7 @@ class _WarpLog:
 
     def point(self, t: float, sing_tol: float) -> tuple[complex, complex, complex, complex]:
         """exp(eta*t), warp(t), s(t) and log s(t).  Raises SingularPointError
-        when s passed within eval_canonical_general's pole test of 0 before t."""
+        when s passed the pole test (``pole_near``) before t."""
         t_pass = self.first_pass(t, sing_tol)
         if t_pass < t:
             raise SingularPointError(
@@ -302,12 +303,11 @@ class _WarpLog:
         return self._at(t)
 
     def first_pass(self, t: float, sing_tol: float) -> float:
-        """The first pass in (0, t) at which s comes within
-        eval_canonical_general's pole test of 0, or inf; s at t itself is
-        left to that test."""
+        """The first pass in (0, t) at which s meets the pole test
+        (``pole_near``), or inf; s at t itself is left to the evaluator."""
         # On the real axis |s| is least near the real parts of its zeros, to
         # first order in their distance from the axis.
-        listed = next((tau for tau, w in self.passes if tau < t and _close(w, sing_tol)), math.inf)
+        listed = next((tau for tau, w in self.passes if tau < t and pole_near(w, sing_tol)), math.inf)
         if self.run is None:
             return listed
         return min(listed, self._first_in_run(min(t, listed), sing_tol))
@@ -321,7 +321,7 @@ class _WarpLog:
 
         def meets_test(m: int) -> bool:
             tau = (first + m * step).real
-            return _close(self.y10 * time_warp(self.eta, tau), sing_tol)
+            return pole_near(self.y10 * time_warp(self.eta, tau), sing_tol)
 
         if m_hi < m_lo or not meets_test(m_hi):
             return math.inf
@@ -329,11 +329,6 @@ class _WarpLog:
             mid = (m_lo + m_hi) // 2
             m_lo, m_hi = (m_lo, mid) if meets_test(mid) else (mid + 1, m_hi)
         return (first + m_hi * step).real
-
-
-def _close(w: complex, sing_tol: float) -> bool:
-    """Whether s = 1 - w is within eval_canonical_general's pole test of 0."""
-    return abs(1.0 - w) <= sing_tol * (1.0 + abs(w))
 
 
 def _warp_path(form: _WarpLog, t: float) -> tuple[list[float], list[complex]]:
@@ -345,7 +340,7 @@ def _warp_path(form: _WarpLog, t: float) -> tuple[list[float], list[complex]]:
     count follows the turns of the path and its close approaches to 0, not
     |eta| t at a fixed density.  Every logarithm comes from the closed form.
     """
-    n = max(8, math.ceil(4.0 * abs(form.eta) * t / math.pi))
+    n = max(8, math.ceil(4.0 * (abs(form.eta) * t) / math.pi))
     taus, logs, last = [0.0], [0j], 1.0 + 0.0j
     pending = [(t * j / n, *form(t * j / n), 0) for j in range(n, 0, -1)]
     while pending:
@@ -432,11 +427,10 @@ def eval_lifted(
         raise ValueError(f"t must be finite, got {t!r}")
     sol, eta, zbar = traj.canonical, traj.lifted.eta, traj.lifted.zbar
     if traj._warp is not None:
-        growth, tau, s, log_s = traj._warp.point(t, tol.sing_tol)
+        growth, tau, _, log_s = traj._warp.point(t, tol.sing_tol)
     else:
-        growth, tau = _growth_and_warp(eta, t)
-        s, log_s = 1.0 - sol.y10 * tau, 0.0 + 0.0j
-    x = push_state(traj.decomposition.change, eval_canonical_general(sol, tau, s, log_s, tol))
+        (growth, tau), log_s = _growth_and_warp(eta, t), 0j
+    x = push_state(traj.decomposition.change, eval_canonical_general(sol, t, tau, log_s, tol))
     return (growth * x[0] + zbar[0], growth * x[1] + zbar[1])
 
 
@@ -510,7 +504,8 @@ def isochrony_check(
 
     The criterion is a real rational power exponent delta = k1/k2 (lowest
     terms, k2 <= max_den); then every solution of the lifted system is
-    periodic with period 2*pi*k2/|omega|.
+    periodic with period 2*pi*k2/|omega|.  An omega so small that this period
+    overflows raises ValueError.
     """
     if not (math.isfinite(omega) and omega != 0):
         raise ValueError(f"omega must be finite and nonzero, got {omega!r}")
@@ -520,6 +515,8 @@ def isochrony_check(
         rational = approx_rational(delta.real, max_den, tol=_RATIONAL_TOL)
     isochronous = rational is not None
     period = _TWO_PI * rational[1] / abs(omega) if isochronous else None
+    if period == math.inf:
+        raise ValueError(f"omega = {omega!r} is too small: the period 2*pi*k2/|omega| overflows")
     return IsochronyReport(
         delta=delta,
         rational=rational,

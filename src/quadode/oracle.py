@@ -3,7 +3,7 @@
 States are complex pairs integrated componentwise; the error norm is the
 maximum component modulus scaled by (abs_tol + rel_tol * |state|).  The
 integrator terminates early when the step size collapses (a movable
-singularity) or the state magnitude overflows, and records which.
+singularity) or the state overflows or turns non-finite, and records which.
 """
 
 from __future__ import annotations
@@ -104,8 +104,7 @@ def integrate(
     # the final capped step can land within rounding of t_end; treat that as done
     end_slack = 4e-16 * t_end
     k1 = rhs(y)
-    f_norm = _norm(k1)
-    h = min(t_end, 0.1 * t_end, 0.01 * (1.0 + _norm(y)) / (1.0 + f_norm))
+    h = min(t_end, 0.1 * t_end, 0.01 * (1.0 + _norm(y)) / (1.0 + _norm(k1)))
     terminated = REACHED_T_END
 
     steps = 0
@@ -141,10 +140,12 @@ def integrate(
             y[0] + h * sum(b * ki[0] for b, ki in zip(_B4, k)),
             y[1] + h * sum(b * ki[1] for b, ki in zip(_B4, k)),
         )
-        err = 0.0
-        for i in range(2):
-            denom = abs_tol + rel_tol * max(abs(y[i]), abs(y5[i]))
-            err = max(err, abs(y5[i] - y4[i]) / denom)
+        e1 = abs(y5[0] - y4[0]) / (abs_tol + rel_tol * max(abs(y[0]), abs(y5[0])))
+        e2 = abs(y5[1] - y4[1]) / (abs_tol + rel_tol * max(abs(y[1]), abs(y5[1])))
+        if not e1 + e2 < math.inf:  # a non-finite state makes its error NaN or inf
+            terminated = STATE_OVERFLOW
+            break
+        err = max(e1, e2)
 
         if err <= 1.0:
             t = t + h if target is None else target

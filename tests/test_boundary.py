@@ -16,6 +16,9 @@ from quadode import (
     IntegrationResult,
     LiftParams,
     REACHED_T_END,
+    STATE_OVERFLOW,
+    QuadraticSystem,
+    SingularPointError,
     branch_equivalence_check,
     compare_trajectories,
     eval_canonical,
@@ -149,3 +152,43 @@ class TestGatesKeepNaN:
 
         monkeypatch.setattr(extensions_module, "eval_lifted", nan_at_second)
         assert math.isnan(periodicity_deviation(LIFTED_TRAJ, PERIOD, interior_times=[0.5]))
+
+
+CANONICAL = QuadraticSystem(((1, 0, 0), (1, 3, 1)))  # rho = (1, 3), b the identity
+
+
+class TestFiniteInputNeverOverflows:
+    """Large but finite data end in a result or a typed, documented error,
+    never in a bare OverflowError or "math domain error"."""
+
+    @pytest.mark.parametrize("x0", [(1e200, 1e200), (1e160, 0)], ids=["1e200", "1e160"])
+    def test_singular_times_at_large_y1(self, x0):
+        # the foot 1/y1(0) of the line s(t) once squared |y1(0)|
+        traj = solve_ivp(CANONICAL, x0)
+        assert traj.t_singular and all(0 < t <= 1e-150 for t in traj.t_singular)
+
+    def test_foot_exactly_on_the_pole(self):
+        # the pole 1e-300 is listed (it was dropped as <= 1e-300), so its band
+        # is cut and no logarithm of s = 0 is taken
+        traj = solve_ivp(CANONICAL, (1e300, 1e-300))
+        assert traj.t_singular
+        with pytest.raises(SingularPointError):
+            eval_trajectory(traj, 1e-300)
+
+    def test_warp_path_at_a_huge_rate(self):
+        # 4*|eta| overflowed before the product with t
+        traj = solve_lifted(lift(EXAMPLE1, LiftParams((0, 0), 1e308j)), (1, 1))
+        assert all(t > 0 for t in traj.t_singular)
+
+    def test_oracle_ends_a_non_finite_run(self):
+        # the step error was max(0.0, nan) = 0.0, so NaN states reached t_end
+        t_end = 1.9e-201
+        samples = [t_end * i / 20 for i in range(1, 21)]
+        result = integrate(CANONICAL, (1e200, 1e200), t_end, t_eval=samples)
+        assert result.terminated == STATE_OVERFLOW
+        assert all(math.isfinite(abs(z)) for state in result.states for z in state)
+
+    def test_isochrony_period_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="omega"):
+            isochrony_check(EXAMPLE3, 1e-320)
+        assert isochrony_check(EXAMPLE3, 1e-300).period < math.inf

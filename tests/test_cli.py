@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -146,8 +147,9 @@ class TestStrictJson:
 
 
 class TestNonFiniteFlags:
-    """A non-finite time, step or rate on the command line is a usage error
-    that names its flag: one error line, no output, exit 2."""
+    """A non-finite time, step or rate on the command line, or one whose use
+    overflows, is a usage error that names its flag: one error line, no
+    output, exit 2."""
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -160,6 +162,10 @@ class TestNonFiniteFlags:
             (["iso", "{spec}", "--omega=-inf", "--verify-period"], "--omega"),
             (["validate", "{spec}", "--t-end", "inf"], "--t-end"),
             (["validate", "{spec}", "--t-end", "nan"], "--t-end"),
+            (["solve", "{spec}", "--t-end", "1e300", "--t-step", "1e-10"], "--t-end / --t-step"),
+            (["iso", "{spec}", "--omega", "1e-320"], "--omega"),
+            (["iso", "{spec}", "--omega", "1e-320", "--verify-period"], "--omega"),
+            (["iso", "{spec}", "--omega", "1", "--max-den", "0"], "--max-den"),
         ],
     )
     def test_usage_error(self, argv, flag, spec3, capsys):
@@ -331,11 +337,39 @@ class TestValidate:
         assert report["passed"] is True
         assert report["oracle_deviation"] <= 1e-6
 
-    def test_mutated_closed_form_fails(self, spec2, capsys):
-        assert main(["validate", spec2, "--mutate"]) == 1
+    def test_mutated_closed_form_fails(self, spec2, capsys, monkeypatch):
+        # a sign-flipped exponent is a wrong closed form that the oracle
+        # comparison must flag
+        def flipped(*args, **kwargs):
+            traj = solve_ivp(*args, **kwargs)
+            return replace(traj, canonical=replace(traj.canonical, delta=-traj.canonical.delta))
+
+        monkeypatch.setattr(cli, "solve_ivp", flipped)
+        assert main(["validate", spec2]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
         assert report["oracle_deviation"] > 1e-3
+
+    def test_no_mutate_flag(self, spec2):
+        assert main(["validate", spec2, "--mutate"]) == 2
+
+    def test_oracle_overflow_is_an_error_line(self, tmp_path, capsys):
+        # the DP5 oracle took NaN steps to "reached_t_end", and validate
+        # printed "oracle_deviation": NaN
+        canonical = QuadraticSystem(((1, 0, 0), (1, 3, 1)))
+        spec = write_spec(tmp_path / "big.json", canonical, x0=(1e200, 1e200))
+        assert main(["validate", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: the oracle stopped (state_overflow)")
+
+    def test_nan_closed_form_is_an_error_line(self, spec2, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "eval_trajectory", lambda traj, t, tol: (complex(math.nan), 0j))
+        assert main(["validate", spec2]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: a closed form is not finite at a sample time"]
 
     def test_unsolvable_spec(self, tmp_path):
         from quadode import QuadraticSystem

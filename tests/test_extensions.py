@@ -277,10 +277,10 @@ class TestWarpLog:
             for t in (0.5, 3.0, 17.0):
                 tau = time_warp(eta, t)
                 try:
-                    want = eval_canonical_general(sol, tau, *walked_log(sol.y10, eta, t))
+                    want = eval_canonical_general(sol, t, tau, walked_log(sol.y10, eta, t)[1])
                 except SingularPointError:
                     continue
-                got = eval_canonical_general(sol, tau, *_warp_log(sol.y10, eta, t, 1e-9))
+                got = eval_canonical_general(sol, t, tau, _warp_log(sol.y10, eta, t, 1e-9)[1])
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-12 * (1 + abs(w))
 
@@ -502,8 +502,8 @@ def per_call_eval(traj, t, tol):
     """eval_lifted with a closed form built for this one call and the pass
     test over the zeros nearest the real axis within [0, t]."""
     sol, eta, zbar = traj.canonical, traj.lifted.eta, traj.lifted.zbar
-    s, log_s = per_call_warp_log(sol.y10, eta, t, tol.sing_tol)
-    y = eval_canonical_general(sol, time_warp(eta, t), s, log_s, tol)
+    log_s = per_call_warp_log(sol.y10, eta, t, tol.sing_tol)[1]
+    y = eval_canonical_general(sol, t, time_warp(eta, t), log_s, tol)
     (b11, b12), (b21, b22) = traj.decomposition.change.b
     growth = cmath.exp(eta * t)
     return (

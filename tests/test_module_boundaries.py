@@ -55,6 +55,20 @@ def test_every_error_class_is_raised():
     assert sorted(set(bases) - live) == []
 
 
+def test_one_judge_of_a_singular_point():
+    # The evaluator decides every singular point, and the lifted pass rule
+    # the points past a pass of the pole; nothing else raises the error.
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            is_class = isinstance(stmt, ast.ClassDef)
+            for node in stmt.body if is_class else [stmt]:
+                if "SingularPointError" in _raised_names(node):
+                    name = getattr(node, "name", type(node).__name__)
+                    sites.append(f"{path.name}:{stmt.name + '.' if is_class else ''}{name}")
+    assert sites == ["canonical.py:eval_canonical_general", "extensions.py:_WarpLog.point"]
+
+
 # Exported paper features that no module calls, each with its reason.
 EXPORTED_WITHOUT_CALLER = {
     "canonical_rhs": "the canonical vector field; acceptance criterion 06 integrates it",
