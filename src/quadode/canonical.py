@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -67,6 +67,12 @@ class SolutionCase(str, Enum):
     Y1_ZERO = "y1_zero"
 
 
+# The evaluator tests the case at every point; a member lookup on the enum
+# class costs more than the rest of the test, so it compares against these.
+_GENERIC, _DELTA_ZERO = SolutionCase.GENERIC, SolutionCase.DELTA_ZERO
+_Y1_ZERO = SolutionCase.Y1_ZERO
+
+
 @dataclass(frozen=True)
 class CanonicalSolution:
     """Precomputed solved state of an initial-value problem.
@@ -84,6 +90,22 @@ class CanonicalSolution:
     delta: complex
     u_bar: complex | None
     case: SolutionCase
+    # the constants of the case's ratio formula, which every evaluation shares:
+    # (dm, dp, u_plus*dm, u_minus*dp, -delta) with dm = u0 - u_minus and
+    # dp = u0 - u_plus in the generic case, (g, u_bar*g) with g = u0 - u_bar
+    # in the delta = 0 case, () otherwise
+    _consts: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        consts: tuple = ()
+        if self.case is SolutionCase.GENERIC:
+            dm = self.u0 - self.u_minus
+            dp = self.u0 - self.u_plus
+            consts = (dm, dp, self.u_plus * dm, self.u_minus * dp, -self.delta)
+        elif self.case is SolutionCase.DELTA_ZERO:
+            g = self.u0 - self.u_bar
+            consts = (g, self.u_bar * g)
+        object.__setattr__(self, "_consts", consts)
 
 
 def canonical_rhs(p: CanonicalParams, y: CanonicalState) -> CanonicalState:
@@ -156,35 +178,56 @@ def eval_canonical_general(
     ratio denominator is within sing_tol of 0.
     """
     case = sol.case
-    pole, base = ("y2", sol.y20) if case is SolutionCase.Y1_ZERO else ("y1", sol.y10)
+    pole, base = ("y2", sol.y20) if case is _Y1_ZERO else ("y1", sol.y10)
     w = base * warped_t
     if pole_near(w, tol.sing_tol):
         raise SingularPointError(
             f"pole of {pole}: 1 - {pole}(0) t vanishes", factor=f"1 - {pole}(0) t", t=t
         )
     s = 1.0 - w
-    if case is SolutionCase.Y1_ZERO:
+    if case is _Y1_ZERO:
         return CanonicalState(0.0 + 0.0j, sol.y20 / s)
     y1 = sol.y10 / s
 
-    if case in (SolutionCase.FIXED_POINT_PLUS, SolutionCase.FIXED_POINT_MINUS):
-        u = sol.u0
-    elif case is SolutionCase.DELTA_ZERO:
-        g = sol.u0 - sol.u_bar
-        den = 1.0 + g * log_s
-        if abs(den) <= tol.sing_tol * (1.0 + abs(g * log_s)):
+    if case is _GENERIC:
+        dm, dp, uplus_dm, uminus_dp, neg_delta = sol._consts
+        try:
+            power = cmath.exp(neg_delta * log_s)
+            dp_power = dp * power
+            num, den = uplus_dm - uminus_dp * power, dm - dp_power
+            scale = abs(dm) + abs(dp_power)
+        except OverflowError:  # exp or a modulus past the range of floats
+            num = scale = math.inf
+        u = math.inf
+        if scale < math.inf and cmath.isfinite(num):
+            if abs(den) <= tol.sing_tol * scale:
+                raise SingularPointError(
+                    "zero of the ratio denominator", factor="u denominator", t=t
+                )
+            u = num / den
+        if not cmath.isfinite(u):
+            # power, a product with it or their ratio lies past the range of
+            # floats: numerator and denominator are multiplied by
+            # q = exp(delta*log s) = 1/power
+            q = cmath.exp(sol.delta * log_s)
+            dm_q = dm * q
+            den = dm_q - dp
+            if abs(den) <= tol.sing_tol * (abs(dm_q) + abs(dp)):
+                raise SingularPointError(
+                    "zero of the ratio denominator", factor="u denominator", t=t
+                )
+            u = (uplus_dm * q - uminus_dp) / den
+    elif case is _DELTA_ZERO:
+        g, ubar_g = sol._consts
+        g_log = g * log_s
+        den = 1.0 + g_log
+        if abs(den) <= tol.sing_tol * (1.0 + abs(g_log)):
             raise SingularPointError(
                 "zero of the logarithmic ratio denominator", factor="log denominator", t=t
             )
-        u = (sol.u0 + sol.u_bar * g * log_s) / den
-    else:
-        power = cmath.exp(-sol.delta * log_s)
-        dm = sol.u0 - sol.u_minus
-        dp = sol.u0 - sol.u_plus
-        den = dm - dp * power
-        if abs(den) <= tol.sing_tol * (abs(dm) + abs(dp * power)):
-            raise SingularPointError("zero of the ratio denominator", factor="u denominator", t=t)
-        u = (sol.u_plus * dm - sol.u_minus * dp * power) / den
+        u = (sol.u0 + ubar_g * log_s) / den
+    else:  # at a fixed point the ratio stays u(0)
+        u = sol.u0
     return CanonicalState(y1, y1 * u)
 
 
@@ -234,13 +277,12 @@ def denominator_log_targets(
     the other cases have none.
     """
     if sol.case is SolutionCase.DELTA_ZERO:
-        g = sol.u0 - sol.u_bar
+        g = sol._consts[0]
         if g == 0:
             return []
         a, b = -1.0 / g, 0j
     elif sol.case is SolutionCase.GENERIC:
-        dm = sol.u0 - sol.u_minus
-        dp = sol.u0 - sol.u_plus
+        dm, dp = sol._consts[:2]
         if dm == 0 or dp == 0:
             return []
         log_w = cmath.log(dm / dp)

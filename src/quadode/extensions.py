@@ -402,7 +402,11 @@ def solve_lifted(
     x0 = (z0[0] - ls.zbar[0], z0[1] - ls.zbar[1])
     dec, canonical = prepare(ls.base, x0, branch, tol)
     if t_max is None:
-        t_max = 10.0 / (1.0 + abs(ls.eta) + ls.base.max_abs() * max(abs(x0[0]), abs(x0[1])))
+        c, size = ls.base.max_abs(), max(abs(x0[0]), abs(x0[1]))
+        t_max = 10.0 / (1.0 + abs(ls.eta) + c * size)
+        if t_max == 0.0:  # the rate overflows: 10 over its larger term, divided in turn
+            t_max = min(10.0 / c / size, 10.0 / abs(ls.eta) if ls.eta else math.inf)
+            t_max = max(t_max, math.ulp(0.0))
     sing = lifted_singular_times(canonical, ls.eta, t_max, tol)
     return LiftedTrajectory(
         lifted=ls,

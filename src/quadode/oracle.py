@@ -23,19 +23,20 @@ STATE_OVERFLOW = "state_overflow"
 _OVERFLOW_LIMIT = 1e12
 _MAX_STEPS = 2_000_000
 
-# Dormand-Prince 5(4) tableau (FSAL).
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 5(4) tableau (FSAL): nodes 1/5, 3/10, 4/5, 8/9, 1, 1; _Aij
+# is row i, column j of the stage matrix, _B5j and _B4j the weights of the
+# fifth- and fourth-order solutions.  The zero entries (_A72, _B52, _B57 and
+# _B42) are left out of the sums; row 7 of the matrix is _B5, which makes the
+# seventh stage's state the fifth-order solution.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B51, _B53, _B54, _B55, _B56 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_B41, _B43, _B44, _B45, _B46, _B47 = (
+    5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
 @dataclass
@@ -123,22 +124,48 @@ def integrate(
                 h = gap
                 target = eval_times[next_eval]
 
-        k = [k1]
-        for i in range(1, 7):
-            acc1 = 0.0 + 0.0j
-            acc2 = 0.0 + 0.0j
-            for aij, ki in zip(_A[i], k):
-                acc1 += aij * ki[0]
-                acc2 += aij * ki[1]
-            k.append(rhs((y[0] + h * acc1, y[1] + h * acc2)))
-
-        y5 = (
-            y[0] + h * sum(b * ki[0] for b, ki in zip(_B5, k)),
-            y[1] + h * sum(b * ki[1] for b, ki in zip(_B5, k)),
+        # Stage sums start from 0j (0 for the solutions) and add their terms
+        # in tableau order.  A zero weight's term, left out, adds nothing: a
+        # sum started from +0 never holds -0.0, and when that term is not
+        # finite, a later stage and y4 are not finite either, so the step ends
+        # the integration in both forms.
+        y1, y2 = y
+        k1a, k1b = k1
+        k2a, k2b = rhs((y1 + h * (0j + _A21 * k1a), y2 + h * (0j + _A21 * k1b)))
+        k3a, k3b = rhs(
+            (
+                y1 + h * (0j + _A31 * k1a + _A32 * k2a),
+                y2 + h * (0j + _A31 * k1b + _A32 * k2b),
+            )
         )
+        k4a, k4b = rhs(
+            (
+                y1 + h * (0j + _A41 * k1a + _A42 * k2a + _A43 * k3a),
+                y2 + h * (0j + _A41 * k1b + _A42 * k2b + _A43 * k3b),
+            )
+        )
+        k5a, k5b = rhs(
+            (
+                y1 + h * (0j + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+                y2 + h * (0j + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
+            )
+        )
+        k6a, k6b = rhs(
+            (
+                y1 + h * (0j + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
+                y2 + h * (0j + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
+            )
+        )
+        y5 = (
+            y1 + h * (0 + _B51 * k1a + _B53 * k3a + _B54 * k4a + _B55 * k5a + _B56 * k6a),
+            y2 + h * (0 + _B51 * k1b + _B53 * k3b + _B54 * k4b + _B55 * k5b + _B56 * k6b),
+        )
+        k7 = k7a, k7b = rhs(y5)
         y4 = (
-            y[0] + h * sum(b * ki[0] for b, ki in zip(_B4, k)),
-            y[1] + h * sum(b * ki[1] for b, ki in zip(_B4, k)),
+            y1
+            + h * (0 + _B41 * k1a + _B43 * k3a + _B44 * k4a + _B45 * k5a + _B46 * k6a + _B47 * k7a),
+            y2
+            + h * (0 + _B41 * k1b + _B43 * k3b + _B44 * k4b + _B45 * k5b + _B46 * k6b + _B47 * k7b),
         )
         e1 = abs(y5[0] - y4[0]) / (abs_tol + rel_tol * max(abs(y[0]), abs(y5[0])))
         e2 = abs(y5[1] - y4[1]) / (abs_tol + rel_tol * max(abs(y[1]), abs(y5[1])))
@@ -150,7 +177,7 @@ def integrate(
         if err <= 1.0:
             t = t + h if target is None else target
             y = y5
-            k1 = k[6]  # FSAL
+            k1 = k7  # FSAL
             if eval_times is None:
                 record(t, y)
             elif target is not None:

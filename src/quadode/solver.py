@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .canonical import (
@@ -30,9 +31,15 @@ def default_horizon(sys: QuadraticSystem, x0: Pair) -> float:
     """Scale-aware horizon for singular-time reporting.
 
     Movable singularity times shrink as coefficients or initial data grow,
-    so the default window scales inversely with their product.
+    so the default window scales inversely with their product.  Where the
+    product overflows, the window is 10 divided by each factor in turn, and
+    at least the least positive float.
     """
-    return 10.0 / (1.0 + sys.max_abs() * max(abs(x0[0]), abs(x0[1])))
+    c, size = sys.max_abs(), max(abs(x0[0]), abs(x0[1]))
+    scale = c * size
+    if scale < math.inf:
+        return 10.0 / (1.0 + scale)
+    return max(10.0 / c / size, math.ulp(0.0))
 
 
 def _checked_x0(x0) -> Pair:

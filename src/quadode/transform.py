@@ -67,12 +67,10 @@ class QuadraticSystem:
         return self.c[1][2]
 
     def rhs(self, x: Pair) -> Pair:
+        (c11, c12, c13), (c21, c22, c23) = self.c
         x1, x2 = x
         q1, q2, q3 = x1 * x1, x1 * x2, x2 * x2
-        return (
-            self.c11 * q1 + self.c12 * q2 + self.c13 * q3,
-            self.c21 * q1 + self.c22 * q2 + self.c23 * q3,
-        )
+        return (c11 * q1 + c12 * q2 + c13 * q3, c21 * q1 + c22 * q2 + c23 * q3)
 
     def max_abs(self) -> float:
         return max(map(abs, self.c[0] + self.c[1]))

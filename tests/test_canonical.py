@@ -137,6 +137,72 @@ class TestEval:
         assert y.y2 == pytest.approx(4.0, rel=1e-14)
 
 
+def _written_out(sol, t):
+    """The evaluation with every constant formed at the point, as it was
+    written before the constants moved to solve time."""
+    s = 1.0 - sol.y10 * t
+    log_s = cmath.log(s) if s else 0j
+    if sol.case is SolutionCase.Y1_ZERO:
+        return (0.0 + 0.0j, sol.y20 / (1.0 - sol.y20 * t))
+    y1 = sol.y10 / (1.0 - sol.y10 * t)
+    if sol.case in (SolutionCase.FIXED_POINT_PLUS, SolutionCase.FIXED_POINT_MINUS):
+        u = sol.u0
+    elif sol.case is SolutionCase.DELTA_ZERO:
+        g = sol.u0 - sol.u_bar
+        u = (sol.u0 + sol.u_bar * g * log_s) / (1.0 + g * log_s)
+    else:
+        power = cmath.exp(-sol.delta * log_s)
+        dm = sol.u0 - sol.u_minus
+        dp = sol.u0 - sol.u_plus
+        u = (sol.u_plus * dm - sol.u_minus * dp * power) / (dm - dp * power)
+    return (y1, y1 * u)
+
+
+def _case_corpus(rng):
+    """Seeded (params, y(0)) pairs, six of each solution case."""
+    disc = lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    for _ in range(6):
+        p = CanonicalParams(disc(), disc())
+        delta = cmath.sqrt((1 - p.rho2) ** 2 - 4 * p.rho1)
+        y10 = disc()
+        yield SolutionCase.GENERIC, p, (y10, disc())
+        yield SolutionCase.FIXED_POINT_PLUS, p, (y10, y10 * (1 - p.rho2 + delta) / 2)
+        yield SolutionCase.FIXED_POINT_MINUS, p, (y10, y10 * (1 - p.rho2 - delta) / 2)
+        yield SolutionCase.Y1_ZERO, p, (0j, disc())
+        rho2 = disc()
+        yield SolutionCase.DELTA_ZERO, CanonicalParams((1 - rho2) ** 2 / 4, rho2), (y10, disc())
+
+
+class TestConstantsFormedOnce:
+    """The solution forms its formula's constants once; each point still
+    gets the bits of the expressions written out at the point."""
+
+    def test_same_bits_in_every_case(self):
+        rng = random.Random(161)
+        seen = set()
+        for case, p, y0 in _case_corpus(rng):
+            sol = solve_canonical(p, CanonicalState(*y0))
+            assert sol.case is case
+            for t in [0.05 * k for k in range(41)] + [-0.7, 3.1]:
+                try:
+                    y = eval_canonical(sol, t)
+                except SingularPointError:
+                    continue
+                # repr tells -0.0 from 0.0
+                assert repr(tuple(y)) == repr(_written_out(sol, t)), (case, p, y0, t)
+                seen.add(case)
+        assert seen == set(SolutionCase)
+
+    def test_constants_stay_out_of_repr_and_equality(self):
+        p, y0 = CanonicalParams(0.3, 0.2j), CanonicalState(1, 0.5)
+        sol = solve_canonical(p, y0)
+        assert "_consts" not in repr(sol)
+        assert sol == solve_canonical(p, y0)
+        # a copy with another delta forms its own constants
+        flipped = dataclasses.replace(sol, delta=-sol.delta)
+        assert flipped._consts[4] == sol.delta
+
+
 class TestProperties:
     cases = [
         ((0, 0), (1, 2)),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import time
 from dataclasses import replace
 
@@ -207,7 +208,7 @@ class TestSolve:
             any(abs(t - ts) < 1e-6 for ts in doc["singular_times"]) for t in skipped
         )
 
-    @pytest.mark.parametrize("sing_tol", [1e-9, 1e-5])
+    @pytest.mark.parametrize("sing_tol", [1e-9, 1e-5, 0.05])
     def test_band_skip_with_many_singular_times(self, tmp_path, capsys, sing_tol):
         # canonical rho2 = 0.5, delta = 3000i: 3298 singular times below t = 0.999
         sys = QuadraticSystem(((1, 0, 0), ((0.25 + 3000**2) / 4, 0.5, 1)))
@@ -227,6 +228,61 @@ class TestSolve:
             t for t in grid if any(abs(t - ts) <= band * max(1.0, abs(ts)) for ts in sing)
         ]
         assert elapsed < 0.5
+
+    @pytest.mark.parametrize("sing_tol", [1e-9, 1e-5, 0.05])
+    @pytest.mark.parametrize(
+        "c2, x0, count",
+        [((1, 3, 1), (1j, 0.3), 0), ((0, 0.5, 1), (2, 0.5), 1)],  # one pole, at 0.5
+        ids=["no-time", "one-time"],
+    )
+    def test_band_skip_is_the_full_scan(self, tmp_path, capsys, c2, x0, count, sing_tol):
+        spec = str(write_spec(tmp_path / "s.json", QuadraticSystem(((1, 0, 0), c2)), x0=x0))
+        argv = ["solve", spec, "--t-end", "0.999", "--t-step", "0.001", "--format", "doc"]
+        assert main(argv + ["--sing-tol", str(sing_tol)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        sing = doc["singular_times"]
+        assert len(sing) == count
+        band = 10 * sing_tol
+        grid = [i * 0.001 for i in range(1000)]
+        assert doc["skipped"] == [
+            t for t in grid if any(abs(t - ts) <= band * max(1.0, abs(ts)) for ts in sing)
+        ]
+        assert sorted(doc["skipped"] + [row[0] for row in doc["rows"]]) == grid
+
+    @pytest.mark.parametrize(
+        "system, x0, t_end, kind",
+        [
+            (EXAMPLE1, (0, 0), 0.3, "-0.0"),
+            (EXAMPLE1, (1e-309, 2e-309), 0.3, "subnormal"),
+            (EXAMPLE1, (1e300, -1e300), 3e-301, "1e300"),
+            (EXAMPLE2, (1 + 0.5j, -0.3j), 0.2, None),
+            (QuadraticSystem(((1, 0, 0), (1, 3, 1))), (1, 1), 2.0, None),  # rows skipped
+        ],
+    )
+    def test_csv_lines_are_the_doc_rows_formatted(self, tmp_path, capsys, system, x0, t_end, kind):
+        spec = str(write_spec(tmp_path / "s.json", system, x0=x0))
+        argv = ["solve", spec, "--t-end", repr(t_end), "--t-step", repr(t_end / 40)]
+        assert main(argv) == 0
+        csv = capsys.readouterr().out
+        assert main(argv + ["--format", "doc"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        formatted = [",".join(format(v, ".17g") for v in row) for row in rows]
+        assert csv == "\n".join(["t,re_x1,im_x1,re_x2,im_x2"] + formatted) + "\n"
+        values = [v for row in rows for v in row]
+        assert kind != "-0.0" or any(v == 0 and math.copysign(1, v) < 0 for v in values)
+        assert kind != "subnormal" or any(0 < abs(v) < sys.float_info.min for v in values)
+        assert kind != "1e300" or any(abs(v) > 1e299 for v in values)
+
+    @pytest.mark.parametrize("d", [300, 3000])
+    def test_grid_past_the_pole_with_imaginary_delta(self, tmp_path, capsys, d):
+        # |s**-delta| leaves the float range past the pole at t = 1
+        system = QuadraticSystem(((1, 0, 0), ((0.25 + d**2) / 4, 0.5, 1)))
+        spec = str(write_spec(tmp_path / "s.json", system, x0=(1, 0.3)))
+        assert main(["solve", spec, "--t-end", "2", "--t-step", "0.25"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        values = [float(v) for line in lines[1:] for v in line.split(",")]
+        assert [line.split(",")[0] for line in lines[5:]] == ["1.25", "1.5", "1.75", "2"]
+        assert all(math.isfinite(v) for v in values)
 
     def test_canonical_spec_matches_closed_form(self, tmp_path, capsys):
         from quadode import CanonicalParams, CanonicalState, eval_canonical, solve_canonical

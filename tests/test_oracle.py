@@ -11,14 +11,18 @@ from quadode import (
     STEP_COLLAPSE,
     CanonicalParams,
     CanonicalState,
+    QuadraticSystem,
     canonical_rhs,
     compare_trajectories,
     eval_trajectory,
     first_singular_time,
+    forward_map,
     integrate,
+    linear_change_from_b,
     solve_ivp,
 )
-from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
+from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, sample_solvable_system
+from dp5_tableau import tableau_integrate
 
 
 def canonical_system(p):
@@ -142,3 +146,54 @@ class TestCompare:
                 numeric = integrate(sys, x0, t_end, rel_tol=rel, abs_tol=1e-14)
                 devs.append(compare_trajectories(closed, numeric, 10) + 1e-16)
             assert devs[2] <= 2.0 * devs[0]
+
+
+def _real_system(rng):
+    rho = CanonicalParams(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    while True:
+        b = tuple((rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2))
+        if abs(b[0][0] * b[1][1] - b[0][1] * b[1][0]) >= 0.1:
+            return forward_map(rho, linear_change_from_b(b))
+
+
+def _integration_corpus():
+    """Seeded integrations that end in each of the three ways."""
+    rng = random.Random(20261020)
+    runs = []
+    for i in range(24):
+        real = i % 2 == 0
+        sys = _real_system(rng) if real else sample_solvable_system(rng)[0]
+        x0 = tuple(complex(rng.uniform(-1, 1), 0 if real else rng.uniform(-1, 1)) for _ in "12")
+        ts = first_singular_time(solve_ivp(sys, x0))
+        if ts is None:
+            runs.append((sys, x0, 2.0, {}))
+            continue
+        # before the first singular time, then through it
+        samples = [0.45 * ts * (j + 1) / 7 for j in range(7)]
+        runs.append((sys, x0, 0.45 * ts, {"t_eval": samples} if i % 4 else {}))
+        runs.append((sys, x0, 1.5 * ts, {"overflow_limit": 1e3} if i % 3 == 0 else {}))
+    # a bare callable, a right-hand side that overflows, and signed zeros
+    runs.append((canonical_system((0.3, -0.8)), (0.5j, 0.1), 3.0, {}))
+    runs.append((QuadraticSystem(((1e300, 0, 0), (1e300, 1e300, 0))), (1e5, -1e5), 1.0, {}))
+    runs.append((EXAMPLE1, (-0.0, 0.0), 1.0, {"t_eval": [0.0, 0.5, 1.0]}))
+    return runs
+
+
+class TestStagesWrittenOut:
+    """integrate writes the seven stages out; the tableau loop it replaced
+    gives the same times, states and ends to the bit."""
+
+    def test_same_as_the_tableau_loop(self):
+        ends = set()
+        for sys, x0, t_end, kwargs in _integration_corpus():
+            got = integrate(sys, x0, t_end, **kwargs)
+            want = tableau_integrate(sys, x0, t_end, **kwargs)
+            assert (got.terminated, got.last_time, got.times) == (
+                want.terminated,
+                want.last_time,
+                want.times,
+            )
+            # repr tells -0.0 from 0.0 and compares NaN
+            assert repr(got.states) == repr(want.states)
+            ends.add(got.terminated)
+        assert ends == {REACHED_T_END, STEP_COLLAPSE, STATE_OVERFLOW}

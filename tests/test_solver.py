@@ -121,6 +121,64 @@ class TestSolveIvp:
     def test_horizon_scales_inversely(self):
         assert default_horizon(EXAMPLE1, (1, 1)) < default_horizon(EXAMPLE1, (0.1, 0.1))
 
+    def test_horizon_saturates_where_the_product_overflows(self):
+        canonical = QuadraticSystem(((1, 0, 0), (1, 3, 1)))
+        x0 = (1e308, 1.0)
+        # max|c| = 3; 3e308 overflows, and the horizon used to be 10/inf = 0
+        assert default_horizon(canonical, x0) == 10.0 / 3.0 / 1e308
+        assert solve_ivp(canonical, x0).t_singular
+        lifted = solve_lifted(lift(canonical, LiftParams(zbar=(0, 0), eta=1j)), x0)
+        assert lifted.t_singular
+        # at least the least positive float, never 0
+        huge = QuadraticSystem(((1e308, 0, 0), (1, 3, 1)))
+        assert default_horizon(huge, x0) == math.ulp(0.0)
+        # finite products keep the formula's bits
+        assert default_horizon(EXAMPLE1, (1, 2)) == 10.0 / (1.0 + 3.0 * 2.0)
+        assert default_horizon(canonical, (1e307, 1.0)) == 10.0 / (1.0 + 3.0 * 1e307)
+
+
+def _canonical_reference(rho, y0, t):
+    """The canonical state at t in 40 digits, the logarithm principal."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        rho1, rho2 = mpmath.mpc(rho[0]), mpmath.mpc(rho[1])
+        y10, y20 = mpmath.mpc(y0[0]), mpmath.mpc(y0[1])
+        delta = mpmath.sqrt((1 - rho2) ** 2 - 4 * rho1)
+        u_plus, u_minus = (1 - rho2 + delta) / 2, (1 - rho2 - delta) / 2
+        s = 1 - y10 * t
+        power = mpmath.exp(-delta * mpmath.log(s))
+        u0 = y20 / y10
+        dm, dp = u0 - u_minus, u0 - u_plus
+        u = (u_plus * dm - u_minus * dp * power) / (dm - dp * power)
+        return complex(y10 / s), complex(y10 / s * u)
+
+
+class TestPastTheRangeOfExp:
+    """With delta = i*d, |s**-delta| = exp(d*arg s) leaves the float range
+    once arg s passes ~709/d, as it does past the pole; the ratio is then
+    formed with s**delta, whose modulus is below 1."""
+
+    @pytest.mark.parametrize("d", [300, 3000])
+    @pytest.mark.parametrize(
+        "y10, times",
+        [
+            (1, (1.25, 1.5, 2.0)),
+            # arg s passes pi/2 on the way: exp stays finite here for d = 300,
+            # but its products do not
+            (1 - 0.3j, (1.40069, 1.40084, 1.6)),
+        ],
+    )
+    def test_agrees_with_mpmath(self, d, y10, times):
+        sys = QuadraticSystem(((1, 0, 0), ((0.25 + d**2) / 4, 0.5, 1)))
+        traj = solve_ivp(sys, (y10, 0.3), t_max=1.0)
+        assert traj.decomposition.b == ((1, 0), (0, 1))
+        rho = traj.decomposition.rho
+        for t in times:
+            x = eval_trajectory(traj, t)
+            want = _canonical_reference(rho, (y10, 0.3), t)
+            err = max(abs(x[0] - want[0]), abs(x[1] - want[1]))
+            assert err <= 1e-12 * max(abs(want[0]), abs(want[1])), (t, x, want)
+
 
 class TestGoldenTrajectories:
     def test_first_reference_expanded_form(self):
