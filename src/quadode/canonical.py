@@ -166,11 +166,12 @@ def eval_canonical_general(
     sol: CanonicalSolution,
     t: float,
     warped_t: complex,
-    log_s: complex,
+    log_s: complex | None = None,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> CanonicalState:
     """State at real time t, whose time argument (complex on a lifted path) is
-    warped_t, given the logarithm of s = 1 - y1(0)*warped_t continued along it.
+    warped_t, given the logarithm of s = 1 - y1(0)*warped_t continued along it
+    (None: the principal one, taken once s has passed the pole test).
 
     The one judge of a singular point, for real-time evaluation and the
     exponential lift alike: it raises SingularPointError, carrying t, when
@@ -178,17 +179,19 @@ def eval_canonical_general(
     ratio denominator is within sing_tol of 0.
     """
     case = sol.case
-    pole, base = ("y2", sol.y20) if case is _Y1_ZERO else ("y1", sol.y10)
-    w = base * warped_t
+    w = (sol.y20 if case is _Y1_ZERO else sol.y10) * warped_t
     if pole_near(w, tol.sing_tol):
+        pole = "y2" if case is _Y1_ZERO else "y1"
         raise SingularPointError(
             f"pole of {pole}: 1 - {pole}(0) t vanishes", factor=f"1 - {pole}(0) t", t=t
         )
     s = 1.0 - w
+    # the NamedTuple's own __new__ is a Python function; the state skips it
     if case is _Y1_ZERO:
-        return CanonicalState(0.0 + 0.0j, sol.y20 / s)
+        return tuple.__new__(CanonicalState, (0.0 + 0.0j, sol.y20 / s))
     y1 = sol.y10 / s
-
+    if log_s is None:
+        log_s = cmath.log(s)  # s != 0: it passed the pole test
     if case is _GENERIC:
         dm, dp, uplus_dm, uminus_dp, neg_delta = sol._consts
         try:
@@ -228,7 +231,7 @@ def eval_canonical_general(
         u = (sol.u0 + ubar_g * log_s) / den
     else:  # at a fixed point the ratio stays u(0)
         u = sol.u0
-    return CanonicalState(y1, y1 * u)
+    return tuple.__new__(CanonicalState, (y1, y1 * u))
 
 
 def eval_canonical(
@@ -244,8 +247,7 @@ def eval_canonical(
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    s = 1.0 - sol.y10 * t  # 1 on the y1 = 0 line, where y1(0) is 0
-    return eval_canonical_general(sol, t, t, cmath.log(s) if s else 0j, tol)
+    return eval_canonical_general(sol, t, t, None, tol)
 
 
 def denominator_log_targets(

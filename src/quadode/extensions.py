@@ -242,6 +242,13 @@ class _WarpLog:
     )
 
     def __init__(self, y10: complex, eta: complex):
+        # A rate component below 2**-53 of the other moves eta*t by less than
+        # the rounding of the other's product, yet its reciprocal can put the
+        # index of the zeros beyond floating point: the path is taken without it.
+        if abs(eta.imag) < 2.0**-53 * abs(eta.real):
+            eta = complex(eta.real, 0.0)
+        elif abs(eta.real) < 2.0**-53 * abs(eta.imag):
+            eta = complex(0.0, eta.imag)
         self.y10, self.eta = y10, eta
         self.tau_star, self.outside, self.k_before, self.k_after = math.inf, False, 0j, None
         taus, self.run = [], None
@@ -249,6 +256,11 @@ class _WarpLog:
             taus = [(1.0 / y10).real]  # s vanishes at t = 1/y10
         else:
             self.r = y10 / eta
+            if not 0.0 < math.hypot(self.r.real, self.r.imag) < math.inf:
+                raise ValueError(
+                    f"eta = {eta!r} is out of range: y1(0)/eta = {self.r!r} lies beyond "
+                    "floating point"
+                )
             self.c = 1.0 + self.r
             if eta.real != 0 and self.c != 0:
                 self.tau_star = math.log(abs(self.c) / abs(self.r)) / eta.real

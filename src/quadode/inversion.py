@@ -36,6 +36,11 @@ decomposition.  The inversion is:
    rho1 -> rho1 - rho2 s + s**2 + s.  The two branches are the members
    with b11 = 0 and b11 = 1 (s = (b11 - target)/b12); when b12 = 0 the
    shear cannot move b11, and both branches are the normal gauge.
+
+Each branch is then checked by one round trip, ``_roundtrip_miss``: the
+forward map of its (rho, b) must give back every input coefficient to 1e-9
+of the largest.  The helper returns the largest coefficient miss, or NaN when
+any miss is NaN, so that a NaN never passes for a match.
 """
 
 from __future__ import annotations
@@ -165,36 +170,23 @@ def constraint_residuals(
     sys: QuadraticSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ConstraintResiduals:
     """Evaluate both solvability constraints as written, with normalizers."""
-    sys = _unit_scaled(sys)[0]
-    n_val = sys.c12 * sys.c22 - 4.0 * sys.c13 * sys.c21
-    n_scale = abs(sys.c12 * sys.c22) + 4.0 * abs(sys.c13 * sys.c21)
-    d_val = (sys.c22 - 2.0 * sys.c11) * sys.c22 + 2.0 * sys.c21 * (sys.c12 - 2.0 * sys.c23)
-    d_scale = (
-        abs(sys.c22) ** 2
-        + 2.0 * abs(sys.c11 * sys.c22)
-        + 2.0 * abs(sys.c21 * sys.c12)
-        + 4.0 * abs(sys.c21 * sys.c23)
-    )
-    r1 = (
-        2.0 * sys.c21 * n_val * n_val
-        + (sys.c22 - 2.0 * sys.c11) * n_val * d_val
-        - sys.c12 * d_val * d_val
-    )
-    scale1 = (
-        2.0 * abs(sys.c21) * n_scale * n_scale
-        + (abs(sys.c22) + 2.0 * abs(sys.c11)) * n_scale * d_scale
-        + abs(sys.c12) * d_scale * d_scale
-    )
-    r2 = (
-        sys.c22 * n_val * n_val
-        - (sys.c12 - 2.0 * sys.c23) * n_val * d_val
-        - 2.0 * sys.c13 * d_val * d_val
-    )
-    scale2 = (
-        abs(sys.c22) * n_scale * n_scale
-        + (abs(sys.c12) + 2.0 * abs(sys.c23)) * n_scale * d_scale
-        + 2.0 * abs(sys.c13) * d_scale * d_scale
-    )
+    return _residuals_in_range(_unit_scaled(sys)[0], tol)
+
+
+def _residuals_in_range(sys: QuadraticSystem, tol: ToleranceConfig) -> ConstraintResiduals:
+    """``constraint_residuals`` of a system already in _SCALE_RANGE."""
+    (c11, c12, c13), (c21, c22, c23) = sys.c
+    a12, a22 = abs(c12), abs(c22)
+    n_val = c12 * c22 - 4.0 * c13 * c21
+    n_scale = abs(c12 * c22) + 4.0 * abs(c13 * c21)
+    d_val = (c22 - 2.0 * c11) * c22 + 2.0 * c21 * (c12 - 2.0 * c23)
+    d_scale = a22**2 + 2.0 * abs(c11 * c22) + 2.0 * abs(c21 * c12) + 4.0 * abs(c21 * c23)
+    r1 = 2.0 * c21 * n_val * n_val + (c22 - 2.0 * c11) * n_val * d_val - c12 * d_val * d_val
+    scale1 = 2.0 * abs(c21) * n_scale * n_scale + (a22 + 2.0 * abs(c11)) * n_scale * d_scale
+    scale1 += a12 * d_scale * d_scale
+    r2 = c22 * n_val * n_val - (c12 - 2.0 * c23) * n_val * d_val - 2.0 * c13 * d_val * d_val
+    scale2 = a22 * n_scale * n_scale + (a12 + 2.0 * abs(c23)) * n_scale * d_scale
+    scale2 += 2.0 * abs(c13) * d_scale * d_scale
     satisfied = abs(r1) <= tol.eq_tol * scale1 and abs(r2) <= tol.eq_tol * scale2
     return ConstraintResiduals(r1, r2, scale1, scale2, satisfied)
 
@@ -210,27 +202,29 @@ def alpha_from_change(sys: QuadraticSystem, ch: LinearChange) -> AlphaRows:
 
 def _invariant_line(sys: QuadraticSystem) -> tuple[Pair, float]:
     """The direction v of the image of y1 = 0, with its line residual."""
-    forms = (
-        (sys.c22, 2.0 * sys.c23 - sys.c12, -2.0 * sys.c13),
-        (-2.0 * sys.c21, 2.0 * sys.c11 - sys.c22, sys.c12),
-    )
-    big, other = sorted(forms, key=lambda f: sum(abs(c) for c in f), reverse=True)
+    (c11, c12, c13), (c21, c22, c23) = sys.c
+    # the root of the larger form, F1 on a tie, that best zeroes the other
+    big = (c22, 2.0 * c23 - c12, -2.0 * c13)
+    o1, o2, o3 = other = (-2.0 * c21, 2.0 * c11 - c22, c12)
+    if abs(big[0]) + abs(big[1]) + abs(big[2]) < abs(o1) + abs(o2) + abs(o3):
+        big, (o1, o2, o3) = other, big
 
     def miss(v: Pair) -> float:
-        terms = (other[0] * v[0] * v[0], other[1] * v[0] * v[1], other[2] * v[1] * v[1])
-        scale = sum(abs(t) for t in terms)
-        return abs(sum(terms)) / scale if scale > 0 else 0.0
+        v1, v2 = v
+        t1, t2, t3 = o1 * v1 * v1, o2 * v1 * v2, o3 * v2 * v2
+        scale = abs(t1) + abs(t2) + abs(t3)
+        return abs(t1 + t2 + t3) / scale if scale > 0 else 0.0
 
-    v = min(solve_quadratic(*big), key=miss)
-    return v, miss(v)
+    first, second = solve_quadratic(*big)
+    miss1, miss2 = miss(first), miss(second)
+    return (second, miss2) if miss2 < miss1 else (first, miss1)
 
 
 def _polar(sys: QuadraticSystem, u: Pair, w: Pair) -> Pair:
     """2 B(u, w) = Q(u + w) - Q(u) - Q(w), the polarisation of Q."""
-    return tuple(
-        2.0 * c1 * u[0] * w[0] + c2 * (u[0] * w[1] + u[1] * w[0]) + 2.0 * c3 * u[1] * w[1]
-        for c1, c2, c3 in sys.c
-    )
+    (u1, u2), (w1, w2) = u, w
+    cross = u1 * w2 + u2 * w1
+    return tuple(2.0 * c1 * u1 * w1 + c2 * cross + 2.0 * c3 * u2 * w2 for c1, c2, c3 in sys.c)
 
 
 def decompose(
@@ -252,20 +246,21 @@ def decompose(
     sys, unit, sys_scale = _unit_scaled(sys)
     if sys_scale == 0.0:
         raise DegenerateInversionError("the zero system has no canonical form", formula="Q")
-    residuals = constraint_residuals(sys, tol)
+    residuals = _residuals_in_range(sys, tol)
     if not residuals.satisfied:
         raise NotSolvableError(
             "coefficients violate the solvability constraints "
             f"(relative residuals {residuals.rel1:.3e}, {residuals.rel2:.3e})",
             residuals=residuals,
         )
-    v, line_residual = _invariant_line(sys)
-    ell = (2.0 * sys.c11 + sys.c22) * v[0] + (sys.c12 + 2.0 * sys.c23) * v[1]
-    if abs(ell) <= tol.eq_tol * sys_scale * max(abs(v[0]), abs(v[1])):
+    (v1, v2), line_residual = _invariant_line(sys)
+    (c11, c12, _), (_, c22, c23) = sys.c
+    ell = (2.0 * c11 + c22) * v1 + (c12 + 2.0 * c23) * v2
+    if abs(ell) <= tol.eq_tol * sys_scale * max(abs(v1), abs(v2)):
         raise DegenerateInversionError(
             "the invariant line carries no flow: l(v) vanishes", formula="l(v)"
         )
-    b12, b22 = 2.0 * v[0] / ell, 2.0 * v[1] / ell
+    b12, b22 = 2.0 * v1 / ell, 2.0 * v2 / ell
 
     # Normal gauge: the first column is k*e with e orthogonal to (b12, b22).
     e = (b22.conjugate(), -b12.conjugate())
@@ -294,17 +289,17 @@ def decompose(
         b: Mat2 = ((complex(target), b12), (b21 - s * b22, b22))
         rho = CanonicalParams(rho1 - rho2 * s + s * s + s, rho2 - 2.0 * s)
         candidates.append((b, rho))
-    candidates.sort(key=lambda c: (c[0][1][0].real, c[0][1][0].imag))  # by b21
+    # "plus" has the lexicographically first b21, the first member on a tie
+    first, second = candidates[0][0][1][0], candidates[1][0][1][0]
+    if (second.real, second.imag) < (first.real, first.imag):
+        candidates.reverse()
 
     beta = None if abs(b22) <= tol.eq_tol * abs(b12) else b12 / b22
     branches = []
     deviation = 0.0
     for label, (b, rho) in zip(("plus", "minus"), candidates):
         change = linear_change_unchecked(b, tol)
-        rebuilt = forward_rows(rho, change)
-        diffs = [abs(r - c) for row, sys_row in zip(rebuilt, sys.c) for r, c in zip(row, sys_row)]
-        # max() drops a NaN that does not come first
-        dev = math.nan if any(d != d for d in diffs) else max(diffs)
+        dev = _roundtrip_miss(rho, change, sys.c)
         deviation = max(dev / sys_scale, deviation)
         if not deviation <= 1e-9:
             raise InternalConsistencyError(
@@ -322,6 +317,16 @@ def decompose(
     return InversionResult(
         plus=plus, minus=minus, diagnostics=InversionDiagnostics(line_residual, deviation)
     )
+
+
+def _roundtrip_miss(rho: CanonicalParams, ch: LinearChange, c) -> float:
+    """The largest |forward_rows(rho, ch) - c| over the six coefficients, NaN
+    when any is NaN: a sum of terms >= 0 is NaN only from a NaN, and ``max``
+    drops a NaN that does not come first."""
+    (r1, r2, r3), (r4, r5, r6) = forward_rows(rho, ch)
+    (c1, c2, c3), (c4, c5, c6) = c
+    misses = (abs(r1 - c1), abs(r2 - c2), abs(r3 - c3), abs(r4 - c4), abs(r5 - c5), abs(r6 - c6))
+    return math.nan if math.isnan(sum(misses)) else max(misses)
 
 
 def _unscaled_change(ch: LinearChange, unit: float) -> LinearChange:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import NoRootError
@@ -58,10 +57,10 @@ def worst_deviation(pairs: Iterable[tuple[Sequence[complex], Sequence[complex]]]
     worst = 0.0
     for x, y in pairs:
         d1, d2, s1, s2 = abs(x[0] - y[0]), abs(x[1] - y[1]), abs(x[0]), abs(x[1])
-        dev = max(d1, d2) / (1.0 + max(s1, s2))
+        dev = (d2 if d2 > d1 else d1) / (1.0 + (s2 if s2 > s1 else s1))
         if math.isnan(d1 + d2 + s1 + s2 + dev):  # a sum of terms >= 0 is NaN only from a NaN
             return math.nan
-        worst = max(worst, dev)
+        worst = dev if dev > worst else worst
     return worst
 
 
@@ -99,15 +98,35 @@ def solve_quadratic(c2: complex, c1: complex, c0: complex) -> QuadraticRoots:
 def approx_rational(x: float, max_den: int, tol: float = 1e-9) -> Optional[tuple[int, int]]:
     """Best rational approximation k1/k2 with k2 <= max_den, if within tol.
 
-    Uses continued-fraction convergents (via Fraction.limit_denominator); the
-    returned pair is in lowest terms with a positive denominator.  Returns
-    None when no denominator-bounded rational lies within ``tol`` of ``x``.
+    The continued-fraction walk of ``Fraction.limit_denominator``, on the
+    exact integer ratio of ``x``: the returned pair is in lowest terms with a
+    positive denominator, and the same pair that method gives.  Returns None
+    when no denominator-bounded rational lies within ``tol`` of ``x``.
     """
     if max_den < 1:
         raise ValueError("max_den must be at least 1")
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    best = Fraction(x).limit_denominator(max_den)
-    if abs(Fraction(x) - best) <= Fraction(tol):
-        return best.numerator, best.denominator
+    n, d = x.as_integer_ratio()
+    tol_n, tol_d = tol.as_integer_ratio()
+    k1, k2 = n, d
+    if d > max_den:
+        # convergents p1/q1 of n/d until the next denominator exceeds max_den
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        num, den = n, d
+        while True:
+            a = num // den
+            q2 = q0 + a * q1
+            if q2 > max_den:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            num, den = den, num - a * den
+        # the last convergent, or the largest semiconvergent if it is closer
+        # (both distances to n/d times d*q1*k2); the convergent on a tie
+        m = (max_den - q0) // q1
+        k1, k2 = p0 + m * p1, q0 + m * q1
+        if abs(p1 * d - n * q1) * k2 <= abs(k1 * d - n * k2) * q1:
+            k1, k2 = p1, q1
+    if abs(n * k2 - k1 * d) * tol_d <= tol_n * d * k2:
+        return k1, k2
     return None

@@ -116,19 +116,17 @@ def forward_map(p: CanonicalParams, ch: LinearChange) -> QuadraticSystem:
 
 def forward_rows(p: CanonicalParams, ch: LinearChange) -> CoeffRows:
     """The coefficient rows of ``forward_map``, unchecked: they are not
-    finite when the data overflow."""
+    finite when the data overflow.  Both rows share the factors f of b_n2."""
     rho1, rho2 = complex(p.rho1), complex(p.rho2)
     (a11, a12), (a21, a22) = ch.a
-    rows = []
-    for n in range(2):
-        bn1, bn2 = ch.b[n]
-        cn1 = bn1 * a11 * a11 + bn2 * (rho1 * a11 * a11 + (rho2 * a11 + a21) * a21)
-        cn2 = 2.0 * bn1 * a11 * a12 + bn2 * (
-            2.0 * rho1 * a11 * a12 + rho2 * (a11 * a22 + a12 * a21) + 2.0 * a21 * a22
-        )
-        cn3 = bn1 * a12 * a12 + bn2 * (rho1 * a12 * a12 + (rho2 * a12 + a22) * a22)
-        rows.append((cn1, cn2, cn3))
-    return (rows[0], rows[1])
+    (b11, b12), (b21, b22) = ch.b
+    f1 = rho1 * a11 * a11 + (rho2 * a11 + a21) * a21
+    f2 = 2.0 * rho1 * a11 * a12 + rho2 * (a11 * a22 + a12 * a21) + 2.0 * a21 * a22
+    f3 = rho1 * a12 * a12 + (rho2 * a12 + a22) * a22
+    return (
+        (b11 * a11 * a11 + b12 * f1, 2.0 * b11 * a11 * a12 + b12 * f2, b11 * a12 * a12 + b12 * f3),
+        (b21 * a11 * a11 + b22 * f1, 2.0 * b21 * a11 * a12 + b22 * f2, b21 * a12 * a12 + b22 * f3),
+    )
 
 
 def pull_state(ch: LinearChange, x: Pair) -> CanonicalState:

@@ -444,6 +444,38 @@ class TestSolveLifted:
                 eval_lifted(traj, t)
 
 
+class TestExtremeRates:
+    """Rates with a subnormal component solve as without it; rates whose
+    y1(0)/eta lies beyond floating point raise a ValueError naming eta."""
+
+    @staticmethod
+    def solved(eta):
+        traj = solve_lifted(lift(EXAMPLE2, LiftParams((0, 0), eta)), (1, 1))
+        return traj.t_singular, [eval_lifted(traj, t) for t in (0.05, 0.1)]
+
+    def assert_solves_as(self, eta, without):
+        times, states = self.solved(eta)
+        want_times, want_states = self.solved(without)
+        assert len(times) == len(want_times)
+        assert all(abs(t - w) <= 1e-12 * (1 + abs(w)) for t, w in zip(times, want_times))
+        for z, w in zip(states, want_states):
+            assert all(abs(a - b) <= 1e-12 * (1 + abs(b)) for a, b in zip(z, w))
+
+    def test_subnormal_imaginary_part(self):
+        self.assert_solves_as(0.3 + 1e-320j, 0.3)
+
+    def test_subnormal_real_part(self):
+        self.assert_solves_as(1e-320 + 1j, 1j)
+
+    def test_least_positive_rate(self):
+        with pytest.raises(ValueError, match="eta"):
+            self.solved(5e-324)
+
+    def test_rate_near_the_float_limit(self):
+        with pytest.raises(ValueError, match="eta"):
+            self.solved(1e308 + 1e308j)
+
+
 class TestPassesOverTurns:
     @pytest.mark.parametrize("turns", [100, 10**6])
     def test_first_of_the_passes_nearly_imaginary_eta(self, turns):

@@ -12,6 +12,7 @@ from quadode import (
     InternalConsistencyError,
     NonInvertibleChangeError,
     NotSolvableError,
+    QuadOdeError,
     QuadraticSystem,
     alpha_from_change,
     constraint_residuals,
@@ -20,6 +21,8 @@ from quadode import (
     linear_change_from_b,
 )
 from quadode import inversion
+from quadode.numerics import DEFAULT_TOLERANCES
+import inversion_reference as reference
 from conftest import (
     ALL_EXAMPLES,
     EXAMPLE1,
@@ -504,3 +507,83 @@ class TestRoundTripCheck:
         with pytest.raises(InternalConsistencyError) as excinfo:
             decompose(EXAMPLE1)
         assert math.isnan(excinfo.value.diagnostics.roundtrip_deviation)
+
+
+def outcome(fn, *args):
+    """repr of what fn returns, or the class, message and attributes of the
+    domain error it raises."""
+    try:
+        return repr(fn(*args))
+    except QuadOdeError as exc:
+        return type(exc).__name__, str(exc), repr(vars(exc))
+
+
+def _pinned_inputs():
+    """(rho, b) data whose systems decompose, or fail, along every path."""
+    rng = random.Random("pinned/complex")
+    data = [sample_decomposition_data(rng) for _ in range(150)]
+    rng = random.Random("pinned/real")
+    for _ in range(150):
+        data.append((CanonicalParams(rng.uniform(-1, 1), rng.uniform(-1, 1)), _real_b(rng)))
+    for stratum in sorted(STRATA):
+        rng = random.Random(f"strata/{stratum}")
+        data += [STRATA[stratum](rng) for _ in range(10)]
+    data += list(FAULT_INPUTS.values())
+    rng = random.Random("pinned/zero-column")
+    for _ in range(10):
+        rho = CanonicalParams(unit_disc(rng), unit_disc(rng))
+        data.append((rho, ((unit_disc(rng), 0j), (unit_disc(rng), unit_disc(rng)))))  # b12 = 0
+        data.append((rho, ((unit_disc(rng), unit_disc(rng)), (unit_disc(rng), 0j))))  # b22 = 0
+    # the gauge holes, which fail the round trip
+    b22 = 0.8 - 0.1j
+    data.append((CanonicalParams(0.3 - 0.2j, 0.5j), ((0.6, 1e-4 * b22), (-0.4 + 0.3j, b22))))
+    rng = random.Random(7)
+    for _ in range(10):
+        rho, b = sample_decomposition_data(rng)
+        data.append((rho, tuple(tuple(v / 1e4 for v in row) for row in b)))
+    return data
+
+
+class TestSameBitsAsReference:
+    """decompose and forward_map give the reference's bits, and its errors."""
+
+    def systems(self):
+        out = []
+        for rho, b in _pinned_inputs():
+            try:
+                ch = linear_change_from_b(b)
+            except NonInvertibleChangeError:
+                continue
+            sys = forward_map(rho, ch)
+            out += [sys, scaled_system(sys, 2.0**150), scaled_system(sys, 2.0**-150)]
+            out.append(perturbed(sys, len(out) % 2, len(out) % 3, 1e-3))  # not solvable
+        out += [QuadraticSystem(((0, 0, 0), (0, 0, 0))), QuadraticSystem(((0, 0, 0), (0, 0, 1)))]
+        out += [QuadraticSystem(((0, 1, 0), (0, 0, 1))), *ALL_EXAMPLES]
+        return out
+
+    def test_forward_map(self):
+        for rho, b in _pinned_inputs():
+            try:
+                ch = linear_change_from_b(b)
+            except NonInvertibleChangeError:
+                continue
+            assert repr(forward_map(rho, ch)) == repr(reference.forward_map(rho, ch))
+
+    def test_decompose(self):
+        kinds = set()
+        for sys in self.systems():
+            got = outcome(decompose, sys, DEFAULT_TOLERANCES)
+            assert got == outcome(reference.decompose, sys, DEFAULT_TOLERANCES)
+            kinds.add(got[0] if isinstance(got, tuple) else "InversionResult")
+        assert kinds == {
+            "InversionResult",
+            "NotSolvableError",
+            "DegenerateInversionError",
+            "InternalConsistencyError",
+            "NonInvertibleChangeError",
+        }
+
+    def test_constraint_residuals(self):
+        for sys in self.systems():
+            got = constraint_residuals(sys, DEFAULT_TOLERANCES)
+            assert repr(got) == repr(reference.constraint_residuals(sys, DEFAULT_TOLERANCES))

@@ -4,6 +4,7 @@ walk."""
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,72 @@ class TestApproxRational:
         got = approx_rational(x, 64, tol=1.0)
         best = Fraction(x).limit_denominator(64)
         assert got == (best.numerator, best.denominator)
+
+
+def fraction_approx_rational(x, max_den, tol):
+    """approx_rational through Fraction arithmetic, as it was first written."""
+    best = Fraction(x).limit_denominator(max_den)
+    if abs(Fraction(x) - best) <= Fraction(tol):
+        return best.numerator, best.denominator
+    return None
+
+
+class TestApproxRationalMatchesFraction:
+    """The integer continued-fraction walk gives Fraction's answers."""
+
+    @staticmethod
+    def assert_same(x, max_den, tol=1e-9):
+        assert approx_rational(x, max_den, tol) == fraction_approx_rational(x, max_den, tol)
+
+    def test_seeded_corpus(self):
+        rng = random.Random("approx_rational")
+        for _ in range(3000):
+            kind = rng.randrange(3)
+            if kind == 0:
+                x = rng.uniform(-10, 10)
+            elif kind == 1:  # near a small fraction, the isochrony use
+                x = rng.randint(-40, 40) / rng.randint(1, 80) + rng.choice((0, 1e-10, -3e-9))
+            else:
+                x = rng.uniform(-1, 1) * 10 ** rng.uniform(-12, 12)
+            max_den = rng.choice((1, 2, 3, 7, 64, 1000, 10**6))
+            self.assert_same(x, max_den, rng.choice((1e-9, 1e-3, 0.5, 0.0)))
+
+    @pytest.mark.parametrize("x", [0.0, 3.0, -7.0, 2.0**60, -(2.0**60) + 2.0**8])
+    def test_integers(self, x):
+        for max_den in (1, 2, 64):
+            self.assert_same(x, max_den)
+
+    @pytest.mark.parametrize("x", [0.5, -0.375, 1 / 64, 45 / 32, -(2.0**-6)])
+    def test_denominator_within_bound(self, x):
+        # returned as is, without a walk
+        for max_den in (64, 100):
+            self.assert_same(x, max_den, 0.0)
+
+    @pytest.mark.parametrize("x", [-1e-12, -0.1, -1 / 3, -math.pi, -2.5e8 - 1 / 7])
+    def test_negative(self, x):
+        for max_den in (1, 7, 64, 10**6):
+            self.assert_same(x, max_den, 1.0)
+
+    @pytest.mark.parametrize("x", [-2.5, -0.7, 0.2, 0.5, 1.5, 2.49, 1e9 + 0.5])
+    def test_max_den_one(self, x):
+        self.assert_same(x, 1, 1.0)
+
+    @pytest.mark.parametrize(
+        "x, max_den, nearest",
+        [
+            (0.5, 1, (0, 1)),
+            (-2.5, 1, (-3, 1)),
+            (0.25, 2, (0, 1)),
+            (-1.75, 2, (-2, 1)),
+            (0.875, 4, (1, 1)),
+            (1 / 128, 64, (0, 1)),
+        ],
+    )
+    def test_semiconvergent_ties(self, x, max_den, nearest):
+        # x lies midway between the last convergent and the semiconvergent;
+        # the convergent is taken
+        assert approx_rational(x, max_den, 1.0) == nearest
+        self.assert_same(x, max_den, 1.0)
 
 
 class TestToleranceConfig:
