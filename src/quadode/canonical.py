@@ -19,8 +19,10 @@ given by waypoints, splitting boxes until each holds few lattice indices; the
 real flow (``singular_times``, a straight path) and the lifted flow (in
 ``extensions``, waypoints along the warped path, each with its logarithm in
 closed form) differ only in the path they pass and in how a target becomes a
-time.  ``real_times`` filters, sorts and merges the
-candidate times of both.
+time.  A lifted path whose whole log image is boxed in closed form reads its
+targets off that box (``log_targets_in_box``), with the same bound on the
+lattice indices.  ``real_times`` filters, sorts and merges the candidate
+times of both.
 """
 
 from __future__ import annotations
@@ -278,19 +280,8 @@ def denominator_log_targets(
     |delta| of the lattice.  The delta = 0 case has the single target -1/g;
     the other cases have none.
     """
-    if sol.case is SolutionCase.DELTA_ZERO:
-        g = sol._consts[0]
-        if g == 0:
-            return []
-        a, b = -1.0 / g, 0j
-    elif sol.case is SolutionCase.GENERIC:
-        dm, dp = sol._consts[:2]
-        if dm == 0 or dp == 0:
-            return []
-        log_w = cmath.log(dm / dp)
-        a = -log_w / sol.delta
-        b = -_TWO_PI * 1j / sol.delta
-    else:
+    lattice = _target_lattice(sol)
+    if lattice is None:
         return []
 
     def slack(t0: float, l0: complex, t1: float, l1: complex) -> float:
@@ -302,19 +293,6 @@ def denominator_log_targets(
         if d.real <= _MAX_LOG_REAL:
             near = min(near, 2.0 * _IMAG_TOL * (1.0 + abs(t1)) * abs(cmath.exp(d) - 1.0) / (t1 - t0))
         return bulge * abs(d) + near + _IMAG_TOL
-
-    def indices(box: tuple[float, float, float, float]) -> range:
-        k_lo, k_hi = -math.inf, math.inf
-        for a_c, b_c, lo, hi in ((a.real, b.real, box[0], box[1]), (a.imag, b.imag, box[2], box[3])):
-            if b_c == 0.0:
-                if not lo <= a_c <= hi:
-                    return range(0)
-            else:
-                ends = ((lo - a_c) / b_c, (hi - a_c) / b_c)
-                k_lo, k_hi = max(k_lo, min(ends)), min(k_hi, max(ends))
-        if b == 0:
-            return range(1)
-        return range(math.ceil(k_lo), math.floor(k_hi) + 1) if k_lo <= k_hi else range(0)
 
     slacks = [slack(*c) for c in zip(taus, logs, taus[1:], logs[1:])]
     stack = [(list(taus), list(logs), slacks)] if slacks else []
@@ -330,7 +308,7 @@ def denominator_log_targets(
             min(im) - pad,
             max(im) + pad,
         )
-        ks = indices(box)
+        ks = _lattice_indices(lattice, box)
         extent = max(max(re) - min(re), max(im) - min(im))
         if len(ks) <= _SPLIT_INDICES or extent <= pad - bulge * extent:
             # few indices, or a box that splitting would not shrink
@@ -349,9 +327,81 @@ def denominator_log_targets(
             lm = l0 + cmath.log(sm / cmath.exp(l0))
             stack.append(([t0, tm], [l0, lm], [slack(t0, l0, tm, lm)]))
             stack.append(([tm, t1], [lm, l1], [slack(tm, lm, t1, l1)]))
+    return _targets(sol, lattice, found)
+
+
+def log_targets_in_box(
+    sol: CanonicalSolution, box: tuple[float, float, float, float], re_floor: float
+) -> list[complex] | None:
+    """The targets of ``denominator_log_targets`` in a box (re_lo, re_hi,
+    im_lo, im_hi) of the log plane that holds the whole log image of a path,
+    for every time within ``realness_slack`` of it; or None when the box
+    holds more than _SPLIT_INDICES branch indices, where the caller bounds
+    the targets along the path instead.  The box is widened by the realness
+    tolerance, floored at Re = ``re_floor`` and capped at Re = 700, as the
+    boxes of ``denominator_log_targets`` are."""
+    lattice = _target_lattice(sol)
+    if lattice is None:
+        return []
+    re_lo, re_hi, im_lo, im_hi = box
+    ks = _lattice_indices(
+        lattice,
+        (
+            max(re_lo - _IMAG_TOL, re_floor),
+            min(re_hi + _IMAG_TOL, _MAX_LOG_REAL),
+            im_lo - _IMAG_TOL,
+            im_hi + _IMAG_TOL,
+        ),
+    )
+    return _targets(sol, lattice, ks) if len(ks) <= _SPLIT_INDICES else None
+
+
+def _target_lattice(sol: CanonicalSolution) -> tuple[complex, complex, complex] | None:
+    """(a, b, log_w): the targets are a + k*b, with a = -log_w/delta and
+    b = -2*pi*i/delta in the generic case, and the single a = -1/g (b = 0)
+    in the delta = 0 case; None when there is no target."""
+    if sol.case is SolutionCase.DELTA_ZERO:
+        g = sol._consts[0]
+        return (-1.0 / g, 0j, 0j) if g != 0 else None
+    if sol.case is SolutionCase.GENERIC:
+        dm, dp = sol._consts[:2]
+        if dm == 0 or dp == 0:
+            return None
+        log_w = cmath.log(dm / dp)
+        return -log_w / sol.delta, -_TWO_PI * 1j / sol.delta, log_w
+    return None
+
+
+def _lattice_indices(lattice: tuple[complex, complex, complex], box: tuple) -> range:
+    """The branch indices k whose target a + k*b lies in the box (re_lo,
+    re_hi, im_lo, im_hi): each side bounds k directly.  range(1) stands for
+    the single target when b = 0."""
+    a, b, _ = lattice
+    k_lo, k_hi = -math.inf, math.inf
+    for a_c, b_c, lo, hi in ((a.real, b.real, box[0], box[1]), (a.imag, b.imag, box[2], box[3])):
+        if b_c == 0.0:
+            if not lo <= a_c <= hi:
+                return range(0)
+        else:
+            ends = ((lo - a_c) / b_c, (hi - a_c) / b_c)
+            k_lo, k_hi = max(k_lo, min(ends)), min(k_hi, max(ends))
     if b == 0:
-        return [a] if found else []
-    return [-(log_w + _TWO_PI * 1j * k) / sol.delta for k in found]
+        return range(1)
+    return range(math.ceil(k_lo), math.floor(k_hi) + 1) if k_lo <= k_hi else range(0)
+
+
+def _targets(sol: CanonicalSolution, lattice: tuple, ks: Iterable[int]) -> list[complex]:
+    """The targets of the indices ``ks`` of ``_lattice_indices``."""
+    a, b, log_w = lattice
+    if b == 0:
+        return [a] if ks else []
+    return [-(log_w + _TWO_PI * 1j * k) / sol.delta for k in ks]
+
+
+def realness_slack(t_max: float) -> float:
+    """A bound, with a margin for rounding, on |Im t| of the times
+    ``real_times`` admits up to t_max: |Im t| <= _IMAG_TOL*(1 + |t|)."""
+    return 2.0 * _IMAG_TOL * (1.0 + t_max)
 
 
 def real_times(candidates: Iterable[complex], t_max: float) -> list[float]:

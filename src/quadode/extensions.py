@@ -11,12 +11,15 @@ continued power to come back to its starting branch.
 
 Evaluation and the singular-time enumeration take log s along the warped
 path s(t) = 1 - y1(0)*warp(t) from one closed form (``_WarpLog``):
-evaluation costs the same at any t, and the enumeration bounds its log
-targets with about eight waypoints per turn of the path.  A trajectory builds
-its form once, and every ``eval_lifted`` shares its constants and its
-tolerance-free list of the times where the path may pass near 0; each point
-tests that list against its own sing_tol and takes exp(eta*t), the warped
-time, s and log s from one exponential.
+evaluation costs the same at any t.  Where the path stays inside the circle
+|E| = |c| about which it turns, the enumeration reads its log targets off one
+closed-form box of the path's whole log image, at the same cost for any
+horizon; elsewhere it bounds them with about eight waypoints per turn of the
+path.  A trajectory builds its form once, and its singular times and every
+``eval_lifted`` share its constants and its tolerance-free list of the times
+where the path may pass near 0; each point tests that list against its own
+sing_tol and takes exp(eta*t), the warped time, s and log s from one
+exponential.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ from .canonical import (
     SolutionCase,
     denominator_log_targets,
     eval_canonical_general,
+    log_targets_in_box,
     pole_near,
     real_times,
+    realness_slack,
     singular_times,
 )
 from .errors import InvalidScalingError, SingularPointError
@@ -189,9 +194,16 @@ def lift(sys: QuadraticSystem, p: LiftParams) -> LiftedSystem:
 
 
 def _growth_and_warp(eta: complex, t: float) -> tuple[complex, complex]:
-    """exp(eta*t) and the warped time (exp(eta*t) - 1)/eta, from one exponential."""
+    """exp(eta*t) and the warped time (exp(eta*t) - 1)/eta, from one
+    exponential; ValueError naming eta and t where exp(eta*t) lies beyond
+    floating point."""
     x = eta * t
-    growth = cmath.exp(x)
+    try:
+        growth = cmath.exp(x)
+    except (OverflowError, ValueError):  # Re(eta*t) past ~709, or eta*t itself infinite
+        raise ValueError(
+            f"exp(eta*t) lies beyond floating point at eta = {eta!r}, t = {t!r}"
+        ) from None
     if abs(x) <= _SMALL_WARP:
         return growth, t * (1.0 + x / 2.0 + x * x / 6.0)
     return growth, (growth - 1.0) / eta
@@ -201,7 +213,8 @@ def time_warp(eta: complex, t: float) -> complex:
     """Warped time (exp(eta*t) - 1)/eta, continuous through eta = 0.
 
     Small |eta*t| is evaluated by series to avoid the cancellation in the
-    direct quotient.
+    direct quotient.  Where exp(eta*t) lies beyond floating point it raises
+    ValueError naming eta and t.
     """
     return _growth_and_warp(eta, t)[1]
 
@@ -238,7 +251,8 @@ class _WarpLog:
     """
 
     __slots__ = (
-        "y10", "eta", "r", "c", "tau_star", "outside", "k_before", "k_after", "passes", "run"
+        "y10", "eta", "r", "c", "tau_star", "outside", "principal", "k_before", "k_after",
+        "passes", "run",
     )
 
     def __init__(self, y10: complex, eta: complex):
@@ -251,6 +265,7 @@ class _WarpLog:
             eta = complex(0.0, eta.imag)
         self.y10, self.eta = y10, eta
         self.tau_star, self.outside, self.k_before, self.k_after = math.inf, False, 0j, None
+        self.principal = True
         taus, self.run = [], None
         if eta == 0:
             taus = [(1.0 / y10).real]  # s vanishes at t = 1/y10
@@ -269,6 +284,9 @@ class _WarpLog:
             else:
                 self.outside = abs(self.r) > abs(self.c)
             self.k_before = -self._local(0.0, 1.0 + 0.0j, cmath.exp(eta * 0.0), self.outside)
+            # Inside with Re c > 0, K_in = Log c and Log(s/c) both have arguments
+            # in (-pi/2, pi/2), so their sum is the principal Log s.
+            self.principal = not self.outside and self.c.real > 0
             if self.c != 0:
                 first, step = cmath.log(self.c / self.r) / eta, _TWO_PI * 1j / eta
                 taus, self.run = _nearest_zeros(first, step)
@@ -283,8 +301,8 @@ class _WarpLog:
     def _at(self, tau: float) -> tuple[complex, complex, complex, complex]:
         growth, warp = _growth_and_warp(self.eta, tau)
         s = 1.0 - self.y10 * warp
-        if self.eta == 0 or not s:  # no logarithm at s = 0, where the evaluator raises
-            return growth, warp, s, cmath.log(s) if s else 0j
+        if not s:  # no logarithm at s = 0, where the evaluator raises
+            return growth, warp, s, 0j
         if 0 < self.tau_star < tau:
             if self.k_after is None:
                 growth_star, warp_star = _growth_and_warp(self.eta, self.tau_star)
@@ -292,8 +310,15 @@ class _WarpLog:
                 self.k_after = self.k_before
                 self.k_after += self._local(self.tau_star, s_star, growth_star, self.outside)
                 self.k_after -= self._local(self.tau_star, s_star, growth_star, not self.outside)
-            return growth, warp, s, self.k_after + self._local(tau, s, growth, not self.outside)
-        return growth, warp, s, self.k_before + self._local(tau, s, growth, self.outside)
+            value = self.k_after + self._local(tau, s, growth, not self.outside)
+        elif self.principal:
+            return growth, warp, s, cmath.log(s)
+        else:
+            value = self.k_before + self._local(tau, s, growth, self.outside)
+        # K + Log(s/c) cancels digits where |c| is large (a tiny rate); the
+        # form only selects the branch of the principal Log s.
+        log_s = cmath.log(s)
+        return growth, warp, s, log_s + _TWO_PI * 1j * round((value.imag - log_s.imag) / _TWO_PI)
 
     def s(self, tau: float) -> complex:
         return 1.0 - self.y10 * time_warp(self.eta, tau)
@@ -305,14 +330,42 @@ class _WarpLog:
     def point(self, t: float, sing_tol: float) -> tuple[complex, complex, complex, complex]:
         """exp(eta*t), warp(t), s(t) and log s(t).  Raises SingularPointError
         when s passed the pole test (``pole_near``) before t."""
-        t_pass = self.first_pass(t, sing_tol)
-        if t_pass < t:
-            raise SingularPointError(
-                "pole of y1: the warped path passes within tolerance of 1 - y1(0) t = 0",
-                factor="1 - y1(0) t",
-                t=t_pass,
-            )
+        if self.passes or self.run is not None:
+            t_pass = self.first_pass(t, sing_tol)
+            if t_pass < t:
+                raise SingularPointError(
+                    "pole of y1: the warped path passes within tolerance of 1 - y1(0) t = 0",
+                    factor="1 - y1(0) t",
+                    t=t_pass,
+                )
         return self._at(t)
+
+    def log_box(self, t_end: float) -> tuple[float, float, float, float] | None:
+        """A box (re_lo, re_hi, im_lo, im_hi) that holds log s(tau) for every
+        complex tau within ``realness_slack(t_end)`` of [0, t_end], where a
+        candidate time that counts as real may lie; None where the path
+        crosses |E| = |c| or lies outside it there, or a term of the bound
+        leaves floating point.
+
+        Inside, log s = K_in + Log(1 - E/c) with |E/c| <= m < 1, where
+        m = |r| max(1, exp(Re(eta) t_end)) exp(|eta| slack) / |c|: Re log s
+        lies in Re K_in + [log1p(-m), log1p(m)] and Im log s within asin(m)
+        of Im K_in.
+        """
+        eta = self.eta
+        if eta == 0 or self.outside or 0 < self.tau_star <= t_end:
+            return None
+        log_m = (
+            math.log(math.hypot(self.r.real, self.r.imag))
+            - math.log(math.hypot(self.c.real, self.c.imag))
+            + max(0.0, eta.real * t_end)
+            + math.hypot(eta.real, eta.imag) * realness_slack(t_end)
+        )
+        m = math.exp(log_m) if log_m < 0.0 else 1.0  # also where log_m is inf or NaN
+        if not m < 1.0:
+            return None
+        k, half_turn = self.k_before, math.asin(m)
+        return (k.real + math.log1p(-m), k.real + math.log1p(m), k.imag - half_turn, k.imag + half_turn)
 
     def first_pass(self, t: float, sing_tol: float) -> float:
         """The first pass in (0, t) at which s meets the pole test
@@ -344,7 +397,9 @@ class _WarpLog:
 
 
 def _warp_path(form: _WarpLog, t: float) -> tuple[list[float], list[complex]]:
-    """Parameters tau in [0, t] and the logarithms of s at them.
+    """Parameters tau in [0, t] and the logarithms of s at them: the path the
+    enumeration walks where ``_WarpLog.log_box`` gives no box, or a box that
+    holds many branch indices.
 
     Eight chords per turn or per e-fold of E = r*exp(eta*tau), so at most
     pi/4 of |eta| tau each, are split at midpoints of the true curve, up to 24
@@ -419,15 +474,14 @@ def solve_lifted(
         if t_max == 0.0:  # the rate overflows: 10 over its larger term, divided in turn
             t_max = min(10.0 / c / size, 10.0 / abs(ls.eta) if ls.eta else math.inf)
             t_max = max(t_max, math.ulp(0.0))
-    sing = lifted_singular_times(canonical, ls.eta, t_max, tol)
-    return LiftedTrajectory(
-        lifted=ls,
-        decomposition=dec,
-        canonical=canonical,
-        z0=z0,
-        x0=x0,
-        t_singular=tuple(sing),
+    traj = LiftedTrajectory(
+        lifted=ls, decomposition=dec, canonical=canonical, z0=z0, x0=x0, t_singular=()
     )
+    # the trajectory's closed form of log s serves the enumeration too, so
+    # the times are set, once known, before the trajectory is returned
+    sing = _lifted_times(canonical, ls.eta, t_max, tol, traj._warp)
+    object.__setattr__(traj, "t_singular", tuple(sing))
+    return traj
 
 
 def eval_lifted(
@@ -437,7 +491,8 @@ def eval_lifted(
 
     The cost does not depend on t.  Raises SingularPointError at a pole and
     at every t past a point where the warped path 1 - y1(0)*warp came within
-    the pole test of 0.  A non-finite t raises ValueError.
+    the pole test of 0.  A non-finite t raises ValueError, as does a t at
+    which exp(eta*t) lies beyond floating point.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
@@ -452,12 +507,35 @@ def eval_lifted(
 
 def _warp_times(value: complex, eta: complex, t_max: float) -> list[complex]:
     """Times t with exp(eta*t) equal to ``value``, on every branch that can
-    give a real t in (0, t_max]."""
+    give a real t in (0, t_max].
+
+    The branch times t_m = (log value + 2*pi*i*m)/eta are affine in m, so
+    those whose real part lies in (0, t_max] and whose imaginary part can
+    pass the realness test of ``real_times`` form one run of m, found with a
+    margin; ``real_times`` then filters as for any candidate.  Only where
+    every branch is real (a real pole each period of an imaginary eta) does
+    the list grow with the turns up to t_max.
+    """
     if value == 0:
         return []
     base_log = cmath.log(value)
-    bound = int(math.ceil((abs(eta) * t_max + abs(base_log)) / _TWO_PI)) + 1
-    return [(base_log + _TWO_PI * 1j * m) / eta for m in range(-bound, bound + 1)]
+    lo = -int(math.ceil((abs(eta) * t_max + abs(base_log)) / _TWO_PI)) - 1
+    hi = -lo
+    start, step = base_log / eta, _TWO_PI * 1j / eta
+    if cmath.isfinite(start) and cmath.isfinite(step):
+        slack = realness_slack(t_max)
+        for first, per_m, low, high in (
+            (start.real, step.real, -slack, t_max + slack),
+            (start.imag, step.imag, -slack, slack),
+        ):
+            if per_m == 0.0:
+                if not low <= first <= high:
+                    return []
+                continue
+            ends = sorted(((low - first) / per_m, (high - first) / per_m))
+            m_a, m_b = (min(max(m, lo - 1), hi + 1) for m in ends)  # finite, for floor and ceil
+            lo, hi = max(lo, math.floor(m_a)), min(hi, math.ceil(m_b))
+    return [(base_log + _TWO_PI * 1j * m) / eta for m in range(lo, hi + 1)]
 
 
 def lifted_singular_times(
@@ -474,15 +552,30 @@ def lifted_singular_times(
     path reaches a denominator-vanishing target.  As for the unlifted flow,
     every such zero is reported except zeros inside the pole's sing_tol band
     (|1 - y1(0) warp(t)| < sing_tol/e), which are reported as the pole.
-    Targets are enumerated near the log image of the warped path, given by
-    the waypoints of ``_warp_path`` (about eight per turn, more near close
-    approaches to 0), each with its logarithm from the closed form.  The path
-    ends in the band of the first zero of s it meets: a real pole, or a pass
-    within the pole test past which evaluation raises.  Candidate times come
-    from exact inversion of the warp, and each candidate is confirmed by the
-    same closed form at that time, which also drops candidates the path
-    reaches only past a pole.
+    The path ends in the band of the first zero of s it meets: a real pole,
+    or a pass within the pole test past which evaluation raises.  Where the
+    path stays inside |E| = |c| up to there, the log targets are read off a
+    closed-form box that holds its whole log image (``_WarpLog.log_box``), at
+    a cost that does not grow with t_max.  Where it crosses or lies outside,
+    or where the box holds more than a few branch indices, they are bounded
+    near the log image given by the waypoints of ``_warp_path`` (about eight
+    per turn, more near close approaches to 0), each with its logarithm from
+    the closed form.  Candidate times come from exact inversion of the warp,
+    and each candidate is confirmed by the same closed form at that time,
+    which also drops candidates the path reaches only past a pole.
     """
+    return _lifted_times(sol, eta, t_max, tol, None)
+
+
+def _lifted_times(
+    sol: CanonicalSolution,
+    eta: complex,
+    t_max: float,
+    tol: ToleranceConfig,
+    form: _WarpLog | None,
+) -> list[float]:
+    """``lifted_singular_times`` through a trajectory's closed form of log s,
+    or, when ``form`` is None, through one built here if the case has one."""
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if abs(eta) * t_max <= _ETA_NEGLIGIBLE:
@@ -490,7 +583,8 @@ def lifted_singular_times(
     pole_base = sol.y20 if sol.case is SolutionCase.Y1_ZERO else sol.y10
     candidates = _warp_times(1.0 + eta / pole_base, eta, t_max) if pole_base != 0 else []
 
-    form = _warp_form(sol, eta)
+    if form is None:
+        form = _warp_form(sol, eta)
     if form is not None:
         band = tol.sing_tol / math.e
         # The path ends in the band of the first zero of s it meets, a real
@@ -499,8 +593,12 @@ def lifted_singular_times(
         t_stop = min(real_times(candidates, t_max)[:1], default=math.inf)
         t_stop = min(t_stop, form.first_pass(min(t_stop, t_max), tol.sing_tol))
         t_end = t_stop - math.log1p(band / abs(form.c)) / abs(eta) if t_stop < math.inf else t_max
-        taus, logs = _warp_path(form, t_end)  # t_end > 0: |s(t_end)| <= band < |s(0)|
-        for lam in denominator_log_targets(sol, form.s, taus, logs, 1.0, math.log(band)):
+        box = form.log_box(t_end)
+        targets = log_targets_in_box(sol, box, math.log(band)) if box is not None else None
+        if targets is None:
+            taus, logs = _warp_path(form, t_end)  # t_end > 0: |s(t_end)| <= band < |s(0)|
+            targets = denominator_log_targets(sol, form.s, taus, logs, 1.0, math.log(band))
+        for lam in targets:
             warp_value = 1.0 + eta * (1.0 - cmath.exp(lam)) / sol.y10
             for tc in real_times(_warp_times(warp_value, eta, t_max), t_max):
                 if form.first_pass(tc, tol.sing_tol) < tc:

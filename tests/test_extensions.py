@@ -42,7 +42,13 @@ from quadode.canonical import eval_canonical_general
 from quadode import extensions
 from quadode.extensions import _WarpLog
 from conftest import ALL_EXAMPLES, EXAMPLE1, EXAMPLE2, EXAMPLE3, sample_solvable_system
-from dense_walk import dense_warp_path, per_call_warp_log, walked_log, walked_singular_times
+from dense_walk import (
+    dense_warp_path,
+    log_increment,
+    per_call_warp_log,
+    walked_log,
+    walked_singular_times,
+)
 
 
 def close(z, w, tol=1e-14):
@@ -476,6 +482,40 @@ class TestExtremeRates:
             self.solved(1e308 + 1e308j)
 
 
+class TestTinyRates:
+    """A rate whose y1(0)/eta is huge keeps the digits of the unlifted flow:
+    log s is the principal Log s, on the branch the closed form selects."""
+
+    @pytest.mark.parametrize(
+        "eta", [1e-300, -1e-300, 1e-20, -1e-20, 1e-20j, -1e-20j, 1e-12], ids=repr
+    )
+    def test_agrees_with_the_unlifted_flow(self, eta):
+        def state(rate, t):
+            traj = solve_lifted(lift(EXAMPLE2, LiftParams((0, 0), rate)), (1, 1), t_max=1.0)
+            return eval_lifted(traj, t)
+
+        for t in (0.05, 0.3, 0.9):
+            bound = 1e-15 + 10 * abs(eta) * t
+            for z, w in zip(state(eta, t), state(0, t)):
+                assert abs(z - w) <= bound * abs(w)
+
+
+class TestRatesPastTheFloatRange:
+    """Where exp(eta*t) leaves floating point, eval_lifted raises a ValueError
+    that names eta and t."""
+
+    @pytest.mark.parametrize("eta, t", [(200, 5.0), (1 + 1j, 1e308)])
+    def test_eval_lifted(self, eta, t):
+        traj = solve_lifted(lift(EXAMPLE2, LiftParams((0, 0), eta)), (1e-3, 1e-3))
+        with pytest.raises(ValueError, match=r"eta = .*, t = "):
+            eval_lifted(traj, t)
+
+    @pytest.mark.parametrize("eta", [1e308j, 1e300 + 1e300j, -1e300 + 1e300j])
+    def test_log_box_gives_way_to_the_walk(self, eta):
+        # a bound whose terms leave floating point is no bound
+        assert _WarpLog(1.0, eta).log_box(1e10) is None
+
+
 class TestPassesOverTurns:
     @pytest.mark.parametrize("turns", [100, 10**6])
     def test_first_of_the_passes_nearly_imaginary_eta(self, turns):
@@ -587,15 +627,15 @@ class TestSharedForm:
         report = isochrony_check(EXAMPLE3, 1.0)
         lifted, z0 = TestIsochrony.two_turn_orbit()
         traj = solve_lifted(lifted, z0, t_max=report.period)
-        assert len(builds) == 2  # one for the singular times, one kept by the trajectory
+        assert len(builds) == 1  # kept by the trajectory, which its singular times share
         for t in (0.0, 0.3, 7.5, 100.0):
             eval_lifted(traj, t)
         periodicity_deviation(traj, report.period)
-        assert len(builds) == 2
+        assert len(builds) == 1
         # a trajectory copied with another lift builds its own form
         other = lift(EXAMPLE3, LiftParams(zbar=lifted.zbar, eta=0.5j))
         assert dataclasses.replace(traj, lifted=other)._warp.eta == 0.5j
-        assert len(builds) == 3
+        assert len(builds) == 2
 
 
 def lifted_case(rng, stratum):
@@ -650,6 +690,29 @@ class TestLiftedSingularTimes:
             assert times == walked_singular_times(sol, eta, t_max, tol)
             found += len(times)
         assert found >= 100
+
+    @pytest.mark.parametrize("stratum", ["real", "near-real", "imaginary", "general"])
+    def test_box_holds_the_dense_walk(self, stratum):
+        # on a path that stays inside |E| = |c|, the closed-form box of log s
+        # holds every logarithm that the dense chord walk continues along it
+        rng = random.Random(f"log-box/{stratum}")
+        tol = ToleranceConfig()
+        checked = 0
+        for _ in range(300):
+            sol, eta, t_max = lifted_case(rng, stratum)
+            box = _WarpLog(sol.y10, eta).log_box(t_max)
+            if box is None:
+                continue
+            path = dense_warp_path(sol.y10, eta, t_max)[1]
+            log_s = 0j
+            try:
+                for a, b in zip(path, path[1:]):
+                    log_s += log_increment(a, b, tol.sing_tol)
+                    assert box[0] <= log_s.real <= box[1] and box[2] <= log_s.imag <= box[3]
+            except SingularPointError:
+                continue
+            checked += 1
+        assert checked >= 30
 
     @pytest.mark.parametrize("eta", [-0.5 - 1j, -0.5 + 1j])
     def test_path_ends_at_the_first_pass(self, eta, monkeypatch):
@@ -758,6 +821,26 @@ class TestIsochrony:
             assert len(calls) <= 16 * turns
             counts.append(len(calls))
         assert counts[1] <= 10 * counts[0] and counts[2] <= 100 * counts[0]
+
+    def test_inside_orbit_work_is_bounded(self, monkeypatch):
+        # a path that stays inside |E| = |c| is proved clear of denominator
+        # zeros by one closed-form box, whatever the number of periods
+        calls = []
+        curve = extensions._growth_and_warp
+        monkeypatch.setattr(
+            extensions, "_growth_and_warp", lambda eta, t: calls.append(t) or curve(eta, t)
+        )
+        period = isochrony_check(EXAMPLE3, 1.0).period
+        lifted = lift(EXAMPLE3, LiftParams(zbar=(0.25, -0.1), eta=1j))
+        z0 = (0.28 + 0.02j, -0.11)
+        counts = []
+        for n in (1, 10, 100, 10**4):
+            calls.clear()
+            traj = solve_lifted(lifted, z0, t_max=n * period)
+            assert not traj.t_singular
+            assert traj._warp.log_box(n * period) is not None  # the path is inside
+            counts.append(len(calls))
+        assert len(set(counts)) == 1 and counts[0] <= 4
 
     @staticmethod
     def two_turn_orbit():
