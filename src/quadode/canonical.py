@@ -3,26 +3,29 @@
     y1' = y1**2,
     y2' = rho1*y1**2 + rho2*y1*y2 + y2**2.
 
-The first equation decouples; the ratio u = y2/y1 obeys a Riccati equation
-whose solution is a Moebius function of the power [1 - y1(0) t]**(-delta)
-with delta = sqrt((1 - rho2)**2 - 4*rho1).  Degenerate situations (initial
-data on the y1 = 0 line, coincident ratio fixed points u(0) = u+/-, and the
-delta = 0 logarithmic case) are classified once at solve time and evaluated
-by their own formulas.
+y1 = y1(0)/s with s = 1 - y1(0) t, and the ratio u = y2/y1 is a Moebius
+function of P = s**(-delta), delta = sqrt((1 - rho2)**2 - 4*rho1).  One
+formula serves all data: with L = log s, E = (1 - P)/delta = L*phi1(-delta*L),
+phi1(z) = (e**z - 1)/z, and a = y2(0) - u-*y1(0),
 
-Besides the pole of y1, the movable singularities are the zeros of the ratio
-denominator.  They sit where the continued logarithm of s = 1 - y1(0) t
-reaches a target lam_k = -(log(dm/dp) + 2 pi i k)/delta, with
-dm = u(0) - u-, dp = u(0) - u+: a lattice affine in k.  One enumerator,
-``denominator_log_targets``, lists the targets near the log image of a path
-given by waypoints, splitting boxes until each holds few lattice indices; the
-real flow (``singular_times``, a straight path) and the lifted flow (in
-``extensions``, waypoints along the warped path, each with its logarithm in
-closed form) differ only in the path they pass and in how a target becomes a
-time.  A lifted path whose whole log image is boxed in closed form reads its
-targets off that box (``log_targets_in_box``), with the same bound on the
-lattice indices.  ``real_times`` filters, sorts and merges the candidate
-times of both.
+    y2 = u-*y1 + a/(s*D),    D = a*E/y1(0) + P,
+
+which divides by neither delta nor y1(0).  The degenerate flows, delta = 0,
+u(0) = u+- and y1(0) = 0 (where D = 1 - y2(0) t), are its limits; the
+``SolutionCase`` of a solution only reports which one the data are near.
+
+Besides the pole of y1, the movable singularities are the zeros of D.  They
+sit where the continued logarithm of s reaches a target
+lam_k = -(log(dm/dp) + 2 pi i k)/delta, with dm = u(0) - u-, dp = u(0) - u+:
+a lattice affine in k.  One enumerator, ``denominator_log_targets``, lists
+the targets near the log image of a path given by waypoints, splitting boxes
+until each holds few lattice indices; the real flow (``singular_times``, a
+straight path) and the lifted flow (in ``extensions``, waypoints along the
+warped path, each with its logarithm in closed form) differ only in the path
+they pass and in how a target becomes a time.  A lifted path whose whole log
+image is boxed in closed form reads its targets off that box
+(``log_targets_in_box``), with the same bound on the lattice indices.
+``real_times`` filters, sorts and merges the candidate times of both.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import SingularPointError
-from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, ensure_finite
+from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, ensure_finite, expm1, log1p
 
 _TWO_PI = 2.0 * math.pi
 
@@ -62,6 +65,8 @@ class CanonicalState(NamedTuple):
 
 
 class SolutionCase(str, Enum):
+    """Which degenerate flow, if any, the data are near: a reported label."""
+
     GENERIC = "generic"
     FIXED_POINT_PLUS = "fixed_point_plus"
     FIXED_POINT_MINUS = "fixed_point_minus"
@@ -69,18 +74,11 @@ class SolutionCase(str, Enum):
     Y1_ZERO = "y1_zero"
 
 
-# The evaluator tests the case at every point; a member lookup on the enum
-# class costs more than the rest of the test, so it compares against these.
-_GENERIC, _DELTA_ZERO = SolutionCase.GENERIC, SolutionCase.DELTA_ZERO
-_Y1_ZERO = SolutionCase.Y1_ZERO
-
-
 @dataclass(frozen=True)
 class CanonicalSolution:
     """Precomputed solved state of an initial-value problem.
 
-    ``u0`` is y2(0)/y1(0) (None on the y1 = 0 line); ``u_bar`` is the
-    coincident fixed point, populated only in the delta = 0 case.
+    ``u0`` is y2(0)/y1(0), None when y1(0) = 0; ``case`` is a label only.
     """
 
     params: CanonicalParams
@@ -90,24 +88,14 @@ class CanonicalSolution:
     u_plus: complex
     u_minus: complex
     delta: complex
-    u_bar: complex | None
     case: SolutionCase
-    # the constants of the case's ratio formula, which every evaluation shares:
-    # (dm, dp, u_plus*dm, u_minus*dp, -delta) with dm = u0 - u_minus and
-    # dp = u0 - u_plus in the generic case, (g, u_bar*g) with g = u0 - u_bar
-    # in the delta = 0 case, () otherwise
+    # the constants of the closed form, which every evaluation shares:
+    # (y1(0), a, u_minus*y1(0), -delta) with a = y2(0) - u_minus*y1(0)
     _consts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        consts: tuple = ()
-        if self.case is SolutionCase.GENERIC:
-            dm = self.u0 - self.u_minus
-            dp = self.u0 - self.u_plus
-            consts = (dm, dp, self.u_plus * dm, self.u_minus * dp, -self.delta)
-        elif self.case is SolutionCase.DELTA_ZERO:
-            g = self.u0 - self.u_bar
-            consts = (g, self.u_bar * g)
-        object.__setattr__(self, "_consts", consts)
+        uy = self.u_minus * self.y10
+        object.__setattr__(self, "_consts", (self.y10, self.y20 - uy, uy, -self.delta))
 
 
 def canonical_rhs(p: CanonicalParams, y: CanonicalState) -> CanonicalState:
@@ -121,11 +109,15 @@ def solve_canonical(
     y0: CanonicalState,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> CanonicalSolution:
-    """Classify the initial-value problem and precompute its solution data.
+    """Precompute the solution data of the initial-value problem and label it.
 
-    All finite initial data are admitted.  The branch of delta is the
-    principal square root; the solution is invariant under delta -> -delta
-    (which only swaps u_plus and u_minus).
+    All finite initial data are admitted and kept as given.  The branch of
+    delta is the principal square root; the solution is invariant under
+    delta -> -delta (which only swaps u_plus and u_minus).  The label is
+    Y1_ZERO when |y1(0)| <= sing_tol*|y2(0)|, else DELTA_ZERO when
+    |delta|**2 <= eq_tol*(|1 - rho2|**2 + |rho1|), else FIXED_POINT_PLUS or
+    _MINUS when u(0) is within eq_tol*max(1, |u(0)|, |u+|, |u-|) of u+ or
+    u-, else GENERIC: every test is invariant under scaling y(0).
     """
     rho1 = ensure_finite(p.rho1, "rho1")
     rho2 = ensure_finite(p.rho2, "rho2")
@@ -138,25 +130,18 @@ def solve_canonical(
     u_plus = (one_minus + delta) / 2.0
     u_minus = (one_minus - delta) / 2.0
 
-    params = CanonicalParams(rho1, rho2)
-    if abs(y10) <= tol.sing_tol * (1.0 + abs(y20)):
-        return CanonicalSolution(
-            params, 0.0 + 0.0j, y20, None, u_plus, u_minus, delta, None, SolutionCase.Y1_ZERO
-        )
-    u0 = y20 / y10
-    if abs(delta) ** 2 <= tol.eq_tol * (abs(one_minus) ** 2 + abs(rho1)):
-        u_bar = one_minus / 2.0
-        return CanonicalSolution(
-            params, y10, y20, u0, u_plus, u_minus, delta, u_bar, SolutionCase.DELTA_ZERO
-        )
-    u_scale = max(1.0, abs(u0), abs(u_plus), abs(u_minus))
-    if abs(u0 - u_plus) <= tol.eq_tol * u_scale:
+    u0 = y20 / y10 if y10 else None
+    if abs(y10) <= tol.sing_tol * abs(y20):
+        case = SolutionCase.Y1_ZERO
+    elif abs(delta) ** 2 <= tol.eq_tol * (abs(one_minus) ** 2 + abs(rho1)):
+        case = SolutionCase.DELTA_ZERO
+    elif abs(u0 - u_plus) <= (u_tol := tol.eq_tol * max(1.0, abs(u0), abs(u_plus), abs(u_minus))):
         case = SolutionCase.FIXED_POINT_PLUS
-    elif abs(u0 - u_minus) <= tol.eq_tol * u_scale:
+    elif abs(u0 - u_minus) <= u_tol:
         case = SolutionCase.FIXED_POINT_MINUS
     else:
         case = SolutionCase.GENERIC
-    return CanonicalSolution(params, y10, y20, u0, u_plus, u_minus, delta, None, case)
+    return CanonicalSolution(CanonicalParams(rho1, rho2), y10, y20, u0, u_plus, u_minus, delta, case)
 
 
 def pole_near(w: complex, sing_tol: float) -> bool:
@@ -177,63 +162,51 @@ def eval_canonical_general(
 
     The one judge of a singular point, for real-time evaluation and the
     exponential lift alike: it raises SingularPointError, carrying t, when
-    ``pole_near`` holds for s (1 - y2(0)*warped_t on the y1 = 0 line) or a
-    ratio denominator is within sing_tol of 0.
+    ``pole_near`` holds for s (1 - y2(0)*warped_t when y1(0) = 0) or the
+    denominator D is within sing_tol*(|a*E/y1(0)| + |P|) of 0.
     """
-    case = sol.case
-    w = (sol.y20 if case is _Y1_ZERO else sol.y10) * warped_t
-    if pole_near(w, tol.sing_tol):
-        pole = "y2" if case is _Y1_ZERO else "y1"
+    y10, a, uy, neg_delta = sol._consts
+    w = (y10 if y10 else sol.y20) * warped_t
+    s = 1.0 - w
+    if abs(s) <= tol.sing_tol * (1.0 + abs(w)):  # pole_near(w), on the s formed here
+        pole = "y1" if y10 else "y2"
         raise SingularPointError(
             f"pole of {pole}: 1 - {pole}(0) t vanishes", factor=f"1 - {pole}(0) t", t=t
         )
-    s = 1.0 - w
-    # the NamedTuple's own __new__ is a Python function; the state skips it
-    if case is _Y1_ZERO:
-        return tuple.__new__(CanonicalState, (0.0 + 0.0j, sol.y20 / s))
-    y1 = sol.y10 / s
+    if not y10:
+        w, s = 0j, 1.0  # and D = 1 - y2(0) t, the pole factor just tested
+    # g = L/w, so that L/y1(0) = t*g.  The principal L is w*g with
+    # g = log(s)/(1 - s): the exact 1 - s makes up for the rounding of s
+    # (``numerics.log1p``), so L and L/y1(0) keep their digits as w -> 0.
     if log_s is None:
-        log_s = cmath.log(s)  # s != 0: it passed the pole test
-    if case is _GENERIC:
-        dm, dp, uplus_dm, uminus_dp, neg_delta = sol._consts
-        try:
-            power = cmath.exp(neg_delta * log_s)
-            dp_power = dp * power
-            num, den = uplus_dm - uminus_dp * power, dm - dp_power
-            scale = abs(dm) + abs(dp_power)
-        except OverflowError:  # exp or a modulus past the range of floats
-            num = scale = math.inf
-        u = math.inf
-        if scale < math.inf and cmath.isfinite(num):
-            if abs(den) <= tol.sing_tol * scale:
-                raise SingularPointError(
-                    "zero of the ratio denominator", factor="u denominator", t=t
-                )
-            u = num / den
-        if not cmath.isfinite(u):
-            # power, a product with it or their ratio lies past the range of
-            # floats: numerator and denominator are multiplied by
-            # q = exp(delta*log s) = 1/power
-            q = cmath.exp(sol.delta * log_s)
-            dm_q = dm * q
-            den = dm_q - dp
-            if abs(den) <= tol.sing_tol * (abs(dm_q) + abs(dp)):
-                raise SingularPointError(
-                    "zero of the ratio denominator", factor="u denominator", t=t
-                )
-            u = (uplus_dm * q - uminus_dp) / den
-    elif case is _DELTA_ZERO:
-        g, ubar_g = sol._consts
-        g_log = g * log_s
-        den = 1.0 + g_log
-        if abs(den) <= tol.sing_tol * (1.0 + abs(g_log)):
-            raise SingularPointError(
-                "zero of the logarithmic ratio denominator", factor="log denominator", t=t
-            )
-        u = (sol.u0 + ubar_g * log_s) / den
-    else:  # at a fixed point the ratio stays u(0)
-        u = sol.u0
-    return tuple.__new__(CanonicalState, (y1, y1 * u))
+        g = cmath.log(s) / (1.0 - s) if s != 1.0 else -1.0  # s != 0: it passed the pole test
+        z = neg_delta * w * g
+    else:
+        g = log_s / w if w else -1.0
+        z = neg_delta * log_s
+    # Where |P| = |exp(z)| > 1, D and a are multiplied by 1/P: with v = -z,
+    # E/(P*y1(0)) = (L/y1(0))*phi1(v).  So exp never overflows here.
+    past = z.real > 0.0
+    v = -z if past else z
+    if v.real > -0.5 and abs(v) < 0.5:  # Re v <= 0, so abs cannot overflow
+        # exp(v) - 1 = 2 exp(v/2) sinh(v/2) does not cancel (``numerics.expm1``)
+        h = 0.5 * v
+        eh = cmath.exp(h)
+        power = eh * eh
+        phi = eh * cmath.sinh(h) / h if h else 1.0
+    else:
+        power = cmath.exp(v)
+        phi = (power - 1.0) / v
+    a_e = a * warped_t * g * phi
+    if past:  # D and a times 1/P, which is ``power`` here
+        a, power = a * power, 1.0
+    den = a_e + power
+    # a term past floating point (inf or NaN) counts as singular, as an
+    # infinite w does in the pole test
+    if not abs(den) > tol.sing_tol * (abs(a_e) + abs(power)):
+        raise SingularPointError("zero of the ratio denominator", factor="u denominator", t=t)
+    # the NamedTuple's own __new__ is a Python function; the state skips it
+    return tuple.__new__(CanonicalState, (y10 / s, (a / den + uy) / s))
 
 
 def eval_canonical(
@@ -272,13 +245,13 @@ def denominator_log_targets(
     Boxes are floored at Re = ``re_floor``, where a caller cuts out a pole's
     band, and capped at Re = 700, beyond which exp overflows.
 
-    In the generic case the targets lam_k = -(log(dm/dp) + 2*pi*i*k)/delta are
-    affine in the branch index k, so each side of a box bounds k directly.  A
-    box holding more than _SPLIT_INDICES indices is split, at its middle
-    waypoint or at the curve's midpoint, until its slack outweighs its extent;
-    so the work follows the number of targets near the path, not the density
-    |delta| of the lattice.  The delta = 0 case has the single target -1/g;
-    the other cases have none.
+    The targets lam_k = -(log(dm/dp) + 2*pi*i*k)/delta are affine in the
+    branch index k, so each side of a box bounds k directly.  A box holding
+    more than _SPLIT_INDICES indices is split, at its middle waypoint or at
+    the curve's midpoint, until its slack outweighs its extent; so the work
+    follows the number of targets near the path, not the density |delta| of
+    the lattice.  At delta = 0 there is the single target -1/dp; where
+    y1(0) = 0 or u(0) = u+- exactly there is none.
     """
     lattice = _target_lattice(sol)
     if lattice is None:
@@ -327,7 +300,7 @@ def denominator_log_targets(
             lm = l0 + cmath.log(sm / cmath.exp(l0))
             stack.append(([t0, tm], [l0, lm], [slack(t0, l0, tm, lm)]))
             stack.append(([tm, t1], [lm, l1], [slack(tm, lm, t1, l1)]))
-    return _targets(sol, lattice, found)
+    return _targets(lattice, found)
 
 
 def log_targets_in_box(
@@ -353,30 +326,30 @@ def log_targets_in_box(
             im_hi + _IMAG_TOL,
         ),
     )
-    return _targets(sol, lattice, ks) if len(ks) <= _SPLIT_INDICES else None
+    return _targets(lattice, ks) if len(ks) <= _SPLIT_INDICES else None
 
 
-def _target_lattice(sol: CanonicalSolution) -> tuple[complex, complex, complex] | None:
-    """(a, b, log_w): the targets are a + k*b, with a = -log_w/delta and
-    b = -2*pi*i/delta in the generic case, and the single a = -1/g (b = 0)
-    in the delta = 0 case; None when there is no target."""
-    if sol.case is SolutionCase.DELTA_ZERO:
-        g = sol._consts[0]
-        return (-1.0 / g, 0j, 0j) if g != 0 else None
-    if sol.case is SolutionCase.GENERIC:
-        dm, dp = sol._consts[:2]
-        if dm == 0 or dp == 0:
-            return None
-        log_w = cmath.log(dm / dp)
-        return -log_w / sol.delta, -_TWO_PI * 1j / sol.delta, log_w
-    return None
+def _target_lattice(sol: CanonicalSolution) -> tuple[complex, complex] | None:
+    """(lam_0, step): the targets are lam_0 + k*step, with
+    lam_0 = -log1p(delta/dp)/delta (-1/dp at delta = 0) and
+    step = -2*pi*i/delta (0 at delta = 0); None when there is none.  dm and
+    dp are taken times y1(0), as D has them: a and a - delta*y1(0)."""
+    y10, a, _, neg_delta = sol._consts
+    dp = a + neg_delta * y10
+    if not (y10 and a and dp and a / dp):
+        return None
+    if not neg_delta:
+        return -y10 / dp, 0j
+    ratio = -neg_delta * y10 / dp  # dm/dp - 1, which dm/dp itself would round where small
+    log_w = log1p(ratio) if abs(ratio) < 0.5 else cmath.log(a / dp)
+    return log_w / neg_delta, _TWO_PI * 1j / neg_delta
 
 
-def _lattice_indices(lattice: tuple[complex, complex, complex], box: tuple) -> range:
+def _lattice_indices(lattice: tuple[complex, complex], box: tuple) -> range:
     """The branch indices k whose target a + k*b lies in the box (re_lo,
     re_hi, im_lo, im_hi): each side bounds k directly.  range(1) stands for
     the single target when b = 0."""
-    a, b, _ = lattice
+    a, b = lattice
     k_lo, k_hi = -math.inf, math.inf
     for a_c, b_c, lo, hi in ((a.real, b.real, box[0], box[1]), (a.imag, b.imag, box[2], box[3])):
         if b_c == 0.0:
@@ -390,12 +363,10 @@ def _lattice_indices(lattice: tuple[complex, complex, complex], box: tuple) -> r
     return range(math.ceil(k_lo), math.floor(k_hi) + 1) if k_lo <= k_hi else range(0)
 
 
-def _targets(sol: CanonicalSolution, lattice: tuple, ks: Iterable[int]) -> list[complex]:
+def _targets(lattice: tuple[complex, complex], ks: Iterable[int]) -> list[complex]:
     """The targets of the indices ``ks`` of ``_lattice_indices``."""
-    a, b, log_w = lattice
-    if b == 0:
-        return [a] if ks else []
-    return [-(log_w + _TWO_PI * 1j * k) / sol.delta for k in ks]
+    a, b = lattice
+    return [a + k * b for k in ks]
 
 
 def realness_slack(t_max: float) -> float:
@@ -426,24 +397,23 @@ def singular_times(
 ) -> list[float]:
     """Sorted real singular times of the solution in (0, t_max].
 
-    Reports the pole of y1 (of y2 on the y1 = 0 line) when it falls on the
-    real axis, and every real zero of the ratio denominator (or of its
-    delta = 0 analogue), except zeros inside a reported pole's sing_tol band
-    (|1 - y1(0) t| < sing_tol/e), which are reported as the pole.
+    Reports the pole of y1 (of y2 when y1(0) = 0) when it falls on the real
+    axis, and every real zero of the denominator D, except zeros inside a
+    reported pole's sing_tol band (|1 - y1(0) t| < sing_tol/e), which are
+    reported as the pole.
 
     For real t the logarithm of s = 1 - y1(0)*t is principal.  The segment
     s(t), t in [0, t_max], is cut where |s| is least and, around a reported
     pole, where it enters the band; each piece has monotone |s| and arg s, so
     its log image lies in the box of its end values.  A target lam found
-    there gives the candidate time (1 - exp(lam))/y1(0).
+    there gives the candidate time -expm1(lam)/y1(0).
     """
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-    pole_base = sol.y20 if sol.case is SolutionCase.Y1_ZERO else sol.y10
-    candidates = [1.0 / pole_base] if pole_base != 0 else []
-    if sol.case not in (SolutionCase.GENERIC, SolutionCase.DELTA_ZERO):
-        return real_times(candidates, t_max)
     y1 = sol.y10
+    if not y1:  # the pole of y2 is the only singular point
+        return real_times([1.0 / sol.y20] if sol.y20 else [], t_max)
+    candidates = [1.0 / y1]
 
     def line(t: float) -> complex:
         return 1.0 - y1 * t
@@ -463,5 +433,5 @@ def singular_times(
         logs = [cmath.log(line(t)) for t in taus]
         for lam in denominator_log_targets(sol, line, taus, logs, 0.0, re_floor):
             if abs(lam.imag) <= math.pi + _IMAG_TOL:  # principal branch only
-                candidates.append((1.0 - cmath.exp(lam)) / y1)
+                candidates.append(-expm1(lam) / y1)
     return real_times(candidates, t_max)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 from .canonical import (
     CanonicalSolution,
-    SolutionCase,
     denominator_log_targets,
     eval_canonical_general,
     log_targets_in_box,
@@ -46,6 +45,7 @@ from .numerics import (
     ToleranceConfig,
     approx_rational,
     ensure_finite,
+    expm1,
     worst_deviation,
 )
 from .solver import prepare
@@ -138,11 +138,13 @@ class LiftedTrajectory:
     z0: Pair
     x0: Pair
     t_singular: tuple[float, ...]
-    # the closed form of log s that every eval_lifted of this trajectory shares
+    # the closed form of log s that every eval_lifted of this trajectory
+    # shares; None when y1(0) = 0, where s = 1
     _warp: _WarpLog | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_warp", _warp_form(self.canonical, self.lifted.eta))
+        y10 = self.canonical.y10
+        object.__setattr__(self, "_warp", _WarpLog(y10, self.lifted.eta) if y10 else None)
 
 
 def rescale(sys: QuadraticSystem, s: ScalingParams) -> QuadraticSystem:
@@ -289,7 +291,13 @@ class _WarpLog:
             self.principal = not self.outside and self.c.real > 0
             if self.c != 0:
                 first, step = cmath.log(self.c / self.r) / eta, _TWO_PI * 1j / eta
-                taus, self.run = _nearest_zeros(first, step)
+                try:
+                    taus, self.run = _nearest_zeros(first, step)
+                except (OverflowError, ValueError):  # an index of the zeros is inf or NaN
+                    raise ValueError(
+                        f"eta = {eta!r} is out of range: the zeros of 1 - y1(0)*warp(t) "
+                        "lie beyond floating point"
+                    ) from None
         self.passes = [(tau, y10 * time_warp(eta, tau)) for tau in sorted(set(taus)) if tau > 0]
 
     def _local(self, tau: float, s: complex, growth: complex, outside: bool) -> complex:
@@ -300,9 +308,14 @@ class _WarpLog:
 
     def _at(self, tau: float) -> tuple[complex, complex, complex, complex]:
         growth, warp = _growth_and_warp(self.eta, tau)
-        s = 1.0 - self.y10 * warp
+        w = self.y10 * warp
+        s = 1.0 - w
         if not s:  # no logarithm at s = 0, where the evaluator raises
             return growth, warp, s, 0j
+        # K + Log(s/c) cancels digits where |c| is large (a tiny rate); the
+        # form only selects the branch of the principal Log s, which is
+        # numerics.log1p(-w) written out, as eval_lifted runs it at every point.
+        log_s = cmath.log(s) * (w / (1.0 - s)) if s != 1.0 else -w
         if 0 < self.tau_star < tau:
             if self.k_after is None:
                 growth_star, warp_star = _growth_and_warp(self.eta, self.tau_star)
@@ -312,12 +325,9 @@ class _WarpLog:
                 self.k_after -= self._local(self.tau_star, s_star, growth_star, not self.outside)
             value = self.k_after + self._local(tau, s, growth, not self.outside)
         elif self.principal:
-            return growth, warp, s, cmath.log(s)
+            return growth, warp, s, log_s
         else:
             value = self.k_before + self._local(tau, s, growth, self.outside)
-        # K + Log(s/c) cancels digits where |c| is large (a tiny rate); the
-        # form only selects the branch of the principal Log s.
-        log_s = cmath.log(s)
         return growth, warp, s, log_s + _TWO_PI * 1j * round((value.imag - log_s.imag) / _TWO_PI)
 
     def s(self, tau: float) -> complex:
@@ -444,13 +454,6 @@ def _nearest_zeros(first: complex, step: complex) -> tuple[list[float], tuple | 
     return [(first + m * step).real for m in {lo, *near}], run
 
 
-def _warp_form(sol: CanonicalSolution, eta: complex) -> _WarpLog | None:
-    """The closed form of log s for the cases whose evaluation continues it."""
-    if sol.case in (SolutionCase.GENERIC, SolutionCase.DELTA_ZERO):
-        return _WarpLog(sol.y10, eta)
-    return None
-
-
 def solve_lifted(
     ls: LiftedSystem,
     z0: Pair,
@@ -547,8 +550,8 @@ def lifted_singular_times(
     """Sorted real singular times of the lifted flow in (0, t_max].
 
     Poles are the preimages, under the warped time, of the base solution's
-    singularities: zeros of 1 - y1(0)*warp(t) (of 1 - y2(0)*warp(t) on the
-    y1 = 0 line) and times where the continued logarithm along the warped
+    singularities: zeros of 1 - y1(0)*warp(t) (of 1 - y2(0)*warp(t) when
+    y1(0) = 0) and times where the continued logarithm along the warped
     path reaches a denominator-vanishing target.  As for the unlifted flow,
     every such zero is reported except zeros inside the pole's sing_tol band
     (|1 - y1(0) warp(t)| < sing_tol/e), which are reported as the pole.
@@ -575,16 +578,20 @@ def _lifted_times(
     form: _WarpLog | None,
 ) -> list[float]:
     """``lifted_singular_times`` through a trajectory's closed form of log s,
-    or, when ``form`` is None, through one built here if the case has one."""
+    or, when ``form`` is None, through one built here unless y1(0) = 0."""
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-    if abs(eta) * t_max <= _ETA_NEGLIGIBLE:
+    reach = math.hypot(eta.real, eta.imag) * t_max
+    if reach <= _ETA_NEGLIGIBLE:
         return singular_times(sol, t_max, tol)
-    pole_base = sol.y20 if sol.case is SolutionCase.Y1_ZERO else sol.y10
+    if reach == math.inf:
+        raise ValueError(
+            f"|eta|*t_max lies beyond floating point at eta = {eta!r}, t_max = {t_max!r}"
+        )
+    if form is None and sol.y10:  # first: it refuses a y1(0)/eta beyond floating point
+        form = _WarpLog(sol.y10, eta)
+    pole_base = sol.y10 if sol.y10 else sol.y20
     candidates = _warp_times(1.0 + eta / pole_base, eta, t_max) if pole_base != 0 else []
-
-    if form is None:
-        form = _warp_form(sol, eta)
     if form is not None:
         band = tol.sing_tol / math.e
         # The path ends in the band of the first zero of s it meets, a real
@@ -599,7 +606,7 @@ def _lifted_times(
             taus, logs = _warp_path(form, t_end)  # t_end > 0: |s(t_end)| <= band < |s(0)|
             targets = denominator_log_targets(sol, form.s, taus, logs, 1.0, math.log(band))
         for lam in targets:
-            warp_value = 1.0 + eta * (1.0 - cmath.exp(lam)) / sol.y10
+            warp_value = 1.0 - eta * expm1(lam) / sol.y10
             for tc in real_times(_warp_times(warp_value, eta, t_max), t_max):
                 if form.first_pass(tc, tol.sing_tol) < tc:
                     continue  # an earlier pole dominates this candidate

@@ -1,5 +1,6 @@
 """Complex scalar utilities: tolerance policy, the deviation measure of the
-gates, quadratic roots, and rational recognition.
+gates, exp(z) - 1 and log(1 + w) near 0, quadratic roots, and rational
+recognition.
 
 All routines work on plain ``complex`` values and are pure functions.
 """
@@ -62,6 +63,26 @@ def worst_deviation(pairs: Iterable[tuple[Sequence[complex], Sequence[complex]]]
             return math.nan
         worst = dev if dev > worst else worst
     return worst
+
+
+def expm1(z: complex) -> complex:
+    """exp(z) - 1 without the cancellation of the direct form near z = 0:
+    2 exp(z/2) sinh(z/2) for |z| < 1/2 (Higham, Accuracy and Stability,
+    sec. 1.14), beyond it exp(z) - 1, which loses at most a bit there."""
+    if z.real * z.real + z.imag * z.imag < 0.25:
+        h = 0.5 * z
+        return 2.0 * cmath.exp(h) * cmath.sinh(h)
+    return cmath.exp(z) - 1.0
+
+
+def log1p(w: complex) -> complex:
+    """The principal log(1 + w), with the digits of a tiny w kept: with
+    u = 1 + w rounded, log(u)*w/(u - 1), since u - 1 is exact where it
+    matters (Higham, sec. 1.14; CPython's complex log takes log|u| by log1p
+    near |u| = 1, as Kahan, "Branch cuts for complex elementary functions",
+    1987, asks)."""
+    u = 1.0 + w
+    return cmath.log(u) * (w / (u - 1.0)) if u != 1.0 else w
 
 
 class QuadraticRoots(NamedTuple):

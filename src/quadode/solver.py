@@ -66,8 +66,8 @@ def solve_ivp(
 ) -> ClosedFormTrajectory:
     """Build the closed-form trajectory through x0.
 
-    Initial data mapping onto the canonical y1 = 0 line are handled by that
-    case, not an error.  Singular times are reported up to ``t_max``
+    Initial data mapping onto the canonical y1 = 0 line are handled by the
+    same closed form, not an error.  Singular times are reported up to ``t_max``
     (default: ``default_horizon``).
     """
     x0 = _checked_x0(x0)

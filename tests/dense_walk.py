@@ -16,9 +16,10 @@ from __future__ import annotations
 import cmath
 import math
 
-from quadode import SingularPointError, SolutionCase, ToleranceConfig, time_warp
+from quadode import SingularPointError, ToleranceConfig, time_warp
 from quadode.canonical import denominator_log_targets, real_times, singular_times
 from quadode.extensions import _WarpLog, _warp_times
+from quadode.numerics import expm1
 
 
 def segment_clearance(a: complex, b: complex) -> float:
@@ -128,9 +129,9 @@ def walked_singular_times(sol, eta: complex, t_max: float, tol: ToleranceConfig)
     ``extensions.lifted_singular_times``."""
     if abs(eta) * t_max <= 1e-8:
         return singular_times(sol, t_max, tol)
-    pole_base = sol.y20 if sol.case is SolutionCase.Y1_ZERO else sol.y10
+    pole_base = sol.y10 if sol.y10 else sol.y20
     candidates = _warp_times(1.0 + eta / pole_base, eta, t_max) if pole_base != 0 else []
-    if sol.case not in (SolutionCase.GENERIC, SolutionCase.DELTA_ZERO):
+    if not sol.y10:
         return real_times(candidates, t_max)
 
     def curve(tau: float) -> complex:
@@ -152,7 +153,7 @@ def walked_singular_times(sol, eta: complex, t_max: float, tol: ToleranceConfig)
             logs.append(logs[-1] + cmath.log(curve(t_band) / path[len(taus) - 1]))
             taus.append(t_band)
     for lam in denominator_log_targets(sol, curve, taus, logs, 1.0, math.log(band)):
-        warp_value = 1.0 + eta * (1.0 - cmath.exp(lam)) / sol.y10
+        warp_value = 1.0 - eta * expm1(lam) / sol.y10
         for tc in real_times(_warp_times(warp_value, eta, t_max), t_max):
             try:
                 log_val = per_call_warp_log(sol.y10, eta, tc, tol.sing_tol)[1]

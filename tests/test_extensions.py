@@ -481,6 +481,13 @@ class TestExtremeRates:
         with pytest.raises(ValueError, match="eta"):
             self.solved(1e308 + 1e308j)
 
+    def test_subnormal_y1_over_eta(self):
+        # y1(0) is kept as given, so y1(0)/eta can be subnormal; the pole
+        # candidate 1 + eta/y1(0) would overflow after it
+        sol = solve_canonical(CanonicalParams(0.3, 0.2), CanonicalState(1e-320, 0.5))
+        with pytest.raises(ValueError, match="eta"):
+            lifted_singular_times(sol, 1 + 1j, 1.0)
+
 
 class TestTinyRates:
     """A rate whose y1(0)/eta is huge keeps the digits of the unlifted flow:
@@ -509,6 +516,18 @@ class TestRatesPastTheFloatRange:
         traj = solve_lifted(lift(EXAMPLE2, LiftParams((0, 0), eta)), (1e-3, 1e-3))
         with pytest.raises(ValueError, match=r"eta = .*, t = "):
             eval_lifted(traj, t)
+
+    def test_zeros_of_s_past_the_float_range(self):
+        # y1(0)/eta = -1e-309j is subnormal, so log(c/r), the index of the
+        # zeros of s, is infinite; the rate is named, not a NaN conversion
+        line = QuadraticSystem(((1, 0, 0), (1, 3, 1)))
+        with pytest.raises(ValueError, match=r"eta = 1e\+308j is out of range"):
+            solve_lifted(lift(line, LiftParams((0, 0), 1e308j)), (0.1, 0.1))
+
+    def test_turns_up_to_t_max_past_the_float_range(self):
+        sol = solve_canonical(CanonicalParams(0.3, 0.2), CanonicalState(1, 0.5))
+        with pytest.raises(ValueError, match=r"eta = 1e\+300j, t_max = 1"):
+            lifted_singular_times(sol, 1e300j, 1e10)
 
     @pytest.mark.parametrize("eta", [1e308j, 1e300 + 1e300j, -1e300 + 1e300j])
     def test_log_box_gives_way_to_the_walk(self, eta):

@@ -69,6 +69,21 @@ def test_one_judge_of_a_singular_point():
     assert sites == ["canonical.py:eval_canonical_general", "extensions.py:_WarpLog.point"]
 
 
+def test_the_solution_case_chooses_no_formula():
+    # SolutionCase is a reported label: only solve_canonical, which computes
+    # it, reads its members, and no module reads a solution's .case.
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(stmt):
+                if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                    continue
+                on_enum = isinstance(node.value, ast.Name) and node.value.id == "SolutionCase"
+                if on_enum or node.attr == "case":
+                    readers.add(f"{path.name}:{getattr(stmt, 'name', type(stmt).__name__)}")
+    assert sorted(readers) == ["canonical.py:solve_canonical"]
+
+
 # Exported paper features that no module calls, each with its reason.
 EXPORTED_WITHOUT_CALLER = {
     "canonical_rhs": "the canonical vector field; acceptance criterion 06 integrates it",
