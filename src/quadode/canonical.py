@@ -24,7 +24,9 @@ straight path) and the lifted flow (in ``extensions``, waypoints along the
 warped path, each with its logarithm in closed form) differ only in the path
 they pass and in how a target becomes a time.  A lifted path whose whole log
 image is boxed in closed form reads its targets off that box
-(``log_targets_in_box``), with the same bound on the lattice indices.
+(``log_targets_in_box``).  One routine, ``lattice_indices``, turns a box into
+the indices of an affine lattice for both, and for the branch times of the
+lift's exp(eta*t) = 1 + x as well.
 ``real_times`` filters, sorts and merges the candidate times of both.
 """
 
@@ -281,7 +283,7 @@ def denominator_log_targets(
             min(im) - pad,
             max(im) + pad,
         )
-        ks = _lattice_indices(lattice, box)
+        ks = lattice_indices(*lattice, box)
         extent = max(max(re) - min(re), max(im) - min(im))
         if len(ks) <= _SPLIT_INDICES or extent <= pad - bulge * extent:
             # few indices, or a box that splitting would not shrink
@@ -317,8 +319,8 @@ def log_targets_in_box(
     if lattice is None:
         return []
     re_lo, re_hi, im_lo, im_hi = box
-    ks = _lattice_indices(
-        lattice,
+    ks = lattice_indices(
+        *lattice,
         (
             max(re_lo - _IMAG_TOL, re_floor),
             min(re_hi + _IMAG_TOL, _MAX_LOG_REAL),
@@ -345,11 +347,13 @@ def _target_lattice(sol: CanonicalSolution) -> tuple[complex, complex] | None:
     return log_w / neg_delta, _TWO_PI * 1j / neg_delta
 
 
-def _lattice_indices(lattice: tuple[complex, complex], box: tuple) -> range:
-    """The branch indices k whose target a + k*b lies in the box (re_lo,
-    re_hi, im_lo, im_hi): each side bounds k directly.  range(1) stands for
-    the single target when b = 0."""
-    a, b = lattice
+def lattice_indices(origin: complex, step: complex, box: tuple) -> range:
+    """The indices k whose point origin + k*step lies in the box (re_lo,
+    re_hi, im_lo, im_hi), rounded inward: each side bounds k directly.
+    range(1) stands for the single point when step = 0.  Both flows turn a
+    box into branch indices here: the log targets of the denominator and the
+    branch times of the lift (``extensions._warp_times``)."""
+    a, b = origin, step
     k_lo, k_hi = -math.inf, math.inf
     for a_c, b_c, lo, hi in ((a.real, b.real, box[0], box[1]), (a.imag, b.imag, box[2], box[3])):
         if b_c == 0.0:
@@ -364,7 +368,7 @@ def _lattice_indices(lattice: tuple[complex, complex], box: tuple) -> range:
 
 
 def _targets(lattice: tuple[complex, complex], ks: Iterable[int]) -> list[complex]:
-    """The targets of the indices ``ks`` of ``_lattice_indices``."""
+    """The targets of the indices ``ks`` of ``lattice_indices``."""
     a, b = lattice
     return [a + k * b for k in ks]
 

@@ -427,10 +427,11 @@ def cmd_iso(args) -> int:
     return 0
 
 
-def _add_tol_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eq-tol", dest="eq_tol", type=float, default=None)
-    p.add_argument("--sing-tol", dest="sing_tol", type=float, default=None)
-    p.add_argument("--oracle-tol", dest="oracle_tol", type=float, default=None)
+def _add_tol_flags(p: argparse.ArgumentParser, *keys: str) -> None:
+    # only the tolerances the subcommand reads: a flag that changes nothing
+    # is refused as unknown
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="constraint residuals and inversion diagnostics")
     p.add_argument("spec")
-    _add_tol_flags(p)
+    _add_tol_flags(p, "eq_tol")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="write a trajectory on a regular time grid")
@@ -453,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=("plus", "minus"), default="plus")
     p.add_argument("--format", choices=("csv", "doc"), default="csv")
     p.add_argument("--output", default=None)
-    _add_tol_flags(p)
+    _add_tol_flags(p, "eq_tol", "sing_tol")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("generate", help="emit solvable spec documents")
@@ -470,12 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="closed form vs integrator cross-check")
     p.add_argument("spec")
     p.add_argument("--t-end", type=float, default=None)
-    _add_tol_flags(p)
+    _add_tol_flags(p, "eq_tol", "sing_tol", "oracle_tol")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("lift", help="coefficients of the lifted system")
     p.add_argument("spec")
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("iso", help="isochrony report (optionally verified)")
@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--max-den", dest="max_den", type=int, default=64)
     p.add_argument("--verify-period", action="store_true")
-    _add_tol_flags(p)
+    _add_tol_flags(p, "eq_tol", "sing_tol", "oracle_tol")
     p.set_defaults(func=cmd_iso)
 
     return parser

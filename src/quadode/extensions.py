@@ -32,6 +32,7 @@ from .canonical import (
     CanonicalSolution,
     denominator_log_targets,
     eval_canonical_general,
+    lattice_indices,
     log_targets_in_box,
     pole_near,
     real_times,
@@ -46,6 +47,7 @@ from .numerics import (
     approx_rational,
     ensure_finite,
     expm1,
+    log1p,
     worst_deviation,
 )
 from .solver import prepare
@@ -238,7 +240,9 @@ class _WarpLog:
     |E| < |c|, Re(s/c) > 0 and log s = K_in + Log(s/c); where |E| > |c|,
     Re(-s/E) > 0 and log s = K_out + eta*tau + Log(-s/E), Log principal.  |E|
     is monotone, so [0, tau] crosses |E| = |c| at most once, at
-    tau* = ln(|c|/|r|)/Re(eta); log s(0) = 0 fixes the constant before tau*,
+    tau* = Re(ell)/Re(eta), where ell = log(c/r) = log1p(eta/y10) is taken
+    once, with the digits of a tiny rate kept; the zeros of s are
+    (ell + 2*pi*i*m)/eta.  log s(0) = 0 fixes the constant before tau*,
     and continuity at tau* the one after it, which is built only when a later
     tau asks for it (on a real path the pole sits at tau*, where s = 0).  For
     eta = i*omega nothing is crossed: each period 2*pi/|omega| adds
@@ -253,7 +257,7 @@ class _WarpLog:
     """
 
     __slots__ = (
-        "y10", "eta", "r", "c", "tau_star", "outside", "principal", "k_before", "k_after",
+        "y10", "eta", "r", "c", "ell", "tau_star", "outside", "principal", "k_before", "k_after",
         "passes", "run",
     )
 
@@ -278,9 +282,11 @@ class _WarpLog:
                     f"eta = {eta!r} is out of range: y1(0)/eta = {self.r!r} lies beyond "
                     "floating point"
                 )
-            self.c = 1.0 + self.r
-            if eta.real != 0 and self.c != 0:
-                self.tau_star = math.log(abs(self.c) / abs(self.r)) / eta.real
+            self.c, x = 1.0 + self.r, eta / y10
+            # log(c/r), with the digits of a tiny rate kept; None where c = 0
+            self.ell = log1p(x) if self.c != 0 and x != -1 else None
+            if eta.real != 0 and self.ell is not None:
+                self.tau_star = self.ell.real / eta.real
                 # which side of |E| = |c| the path is on just after 0
                 self.outside = self.tau_star <= 0 if eta.real > 0 else self.tau_star > 0
             else:
@@ -289,10 +295,9 @@ class _WarpLog:
             # Inside with Re c > 0, K_in = Log c and Log(s/c) both have arguments
             # in (-pi/2, pi/2), so their sum is the principal Log s.
             self.principal = not self.outside and self.c.real > 0
-            if self.c != 0:
-                first, step = cmath.log(self.c / self.r) / eta, _TWO_PI * 1j / eta
+            if self.ell is not None:
                 try:
-                    taus, self.run = _nearest_zeros(first, step)
+                    taus, self.run = _nearest_zeros(self.ell / eta, _TWO_PI * 1j / eta)
                 except (OverflowError, ValueError):  # an index of the zeros is inf or NaN
                     raise ValueError(
                         f"eta = {eta!r} is out of range: the zeros of 1 - y1(0)*warp(t) "
@@ -360,22 +365,22 @@ class _WarpLog:
         Inside, log s = K_in + Log(1 - E/c) with |E/c| <= m < 1, where
         m = |r| max(1, exp(Re(eta) t_end)) exp(|eta| slack) / |c|: Re log s
         lies in Re K_in + [log1p(-m), log1p(m)] and Im log s within asin(m)
-        of Im K_in.
+        of Im K_in.  log m is summed with log|r/c| = -Re(ell), and 1 - m is
+        -expm1(log m), so the gap below 1 keeps its digits where |c| >> 1.
         """
         eta = self.eta
         if eta == 0 or self.outside or 0 < self.tau_star <= t_end:
             return None
         log_m = (
-            math.log(math.hypot(self.r.real, self.r.imag))
-            - math.log(math.hypot(self.c.real, self.c.imag))
+            -self.ell.real  # log|r/c|
             + max(0.0, eta.real * t_end)
             + math.hypot(eta.real, eta.imag) * realness_slack(t_end)
         )
-        m = math.exp(log_m) if log_m < 0.0 else 1.0  # also where log_m is inf or NaN
-        if not m < 1.0:
+        if not log_m < 0.0:  # also where log_m is inf or NaN
             return None
-        k, half_turn = self.k_before, math.asin(m)
-        return (k.real + math.log1p(-m), k.real + math.log1p(m), k.imag - half_turn, k.imag + half_turn)
+        k, m = self.k_before, math.exp(log_m)
+        re_lo = k.real + math.log(-math.expm1(log_m))  # log(1 - m), with 1 - m kept as m -> 1
+        return (re_lo, k.real + math.log1p(m), k.imag - math.asin(m), k.imag + math.asin(m))
 
     def first_pass(self, t: float, sing_tol: float) -> float:
         """The first pass in (0, t) at which s meets the pole test
@@ -508,37 +513,28 @@ def eval_lifted(
     return (growth * x[0] + zbar[0], growth * x[1] + zbar[1])
 
 
-def _warp_times(value: complex, eta: complex, t_max: float) -> list[complex]:
-    """Times t with exp(eta*t) equal to ``value``, on every branch that can
-    give a real t in (0, t_max].
+def _warp_times(x: complex, eta: complex, t_max: float) -> list[complex]:
+    """Times t with exp(eta*t) = 1 + x, on every branch that can give a real
+    t in (0, t_max].
 
-    The branch times t_m = (log value + 2*pi*i*m)/eta are affine in m, so
-    those whose real part lies in (0, t_max] and whose imaginary part can
-    pass the realness test of ``real_times`` form one run of m, found with a
-    margin; ``real_times`` then filters as for any candidate.  Only where
-    every branch is real (a real pole each period of an imaginary eta) does
-    the list grow with the turns up to t_max.
+    The branch times t_m = (log1p(x) + 2*pi*i*m)/eta are affine in m, so
+    those within ``realness_slack`` of (0, t_max] are one lattice query
+    (``lattice_indices``), kept to the turns of eta*t up to t_max, and
+    ``real_times`` then filters as for any candidate.  Only where every
+    branch is real (a real pole each period of an imaginary eta) does the
+    list grow with the turns up to t_max.
     """
-    if value == 0:
+    if x == -1:
         return []
-    base_log = cmath.log(value)
-    lo = -int(math.ceil((abs(eta) * t_max + abs(base_log)) / _TWO_PI)) - 1
-    hi = -lo
+    base_log = log1p(x)  # keeps the digits of a tiny x, as log(1 + x) would not
     start, step = base_log / eta, _TWO_PI * 1j / eta
-    if cmath.isfinite(start) and cmath.isfinite(step):
+    turns = math.ceil((abs(eta) * t_max + abs(base_log)) / _TWO_PI) + 1
+    ms = range(-turns, turns + 1)
+    if cmath.isfinite(start):
         slack = realness_slack(t_max)
-        for first, per_m, low, high in (
-            (start.real, step.real, -slack, t_max + slack),
-            (start.imag, step.imag, -slack, slack),
-        ):
-            if per_m == 0.0:
-                if not low <= first <= high:
-                    return []
-                continue
-            ends = sorted(((low - first) / per_m, (high - first) / per_m))
-            m_a, m_b = (min(max(m, lo - 1), hi + 1) for m in ends)  # finite, for floor and ceil
-            lo, hi = max(lo, math.floor(m_a)), min(hi, math.ceil(m_b))
-    return [(base_log + _TWO_PI * 1j * m) / eta for m in range(lo, hi + 1)]
+        ks = lattice_indices(start, step, (-slack, t_max + slack, -slack, slack))
+        ms = range(max(ks.start, -turns), min(ks.stop, turns + 1))
+    return [(base_log + _TWO_PI * 1j * m) / eta for m in ms]
 
 
 def lifted_singular_times(
@@ -591,7 +587,7 @@ def _lifted_times(
     if form is None and sol.y10:  # first: it refuses a y1(0)/eta beyond floating point
         form = _WarpLog(sol.y10, eta)
     pole_base = sol.y10 if sol.y10 else sol.y20
-    candidates = _warp_times(1.0 + eta / pole_base, eta, t_max) if pole_base != 0 else []
+    candidates = _warp_times(eta / pole_base, eta, t_max) if pole_base != 0 else []
     if form is not None:
         band = tol.sing_tol / math.e
         # The path ends in the band of the first zero of s it meets, a real
@@ -606,8 +602,7 @@ def _lifted_times(
             taus, logs = _warp_path(form, t_end)  # t_end > 0: |s(t_end)| <= band < |s(0)|
             targets = denominator_log_targets(sol, form.s, taus, logs, 1.0, math.log(band))
         for lam in targets:
-            warp_value = 1.0 - eta * expm1(lam) / sol.y10
-            for tc in real_times(_warp_times(warp_value, eta, t_max), t_max):
+            for tc in real_times(_warp_times(-eta * expm1(lam) / sol.y10, eta, t_max), t_max):
                 if form.first_pass(tc, tol.sing_tol) < tc:
                     continue  # an earlier pole dominates this candidate
                 if abs(form(tc)[1] - lam) <= 1e-6 * (1.0 + abs(lam)):

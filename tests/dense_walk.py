@@ -19,7 +19,7 @@ import math
 from quadode import SingularPointError, ToleranceConfig, time_warp
 from quadode.canonical import denominator_log_targets, real_times, singular_times
 from quadode.extensions import _WarpLog, _warp_times
-from quadode.numerics import expm1
+from quadode.numerics import expm1, log1p
 
 
 def segment_clearance(a: complex, b: complex) -> float:
@@ -75,7 +75,7 @@ def per_call_warp_log(y10: complex, eta: complex, t: float, sing_tol: float):
     if eta == 0:
         passes = [(1.0 / y10).real]
     elif form.c != 0:
-        passes = nearest_zeros_within(cmath.log(form.c / form.r) / eta, 2j * math.pi / eta, t)
+        passes = nearest_zeros_within(log1p(eta / y10) / eta, 2j * math.pi / eta, t)
     else:
         passes = []
     for tau in sorted(passes):
@@ -130,7 +130,7 @@ def walked_singular_times(sol, eta: complex, t_max: float, tol: ToleranceConfig)
     if abs(eta) * t_max <= 1e-8:
         return singular_times(sol, t_max, tol)
     pole_base = sol.y10 if sol.y10 else sol.y20
-    candidates = _warp_times(1.0 + eta / pole_base, eta, t_max) if pole_base != 0 else []
+    candidates = _warp_times(eta / pole_base, eta, t_max) if pole_base != 0 else []
     if not sol.y10:
         return real_times(candidates, t_max)
 
@@ -153,8 +153,7 @@ def walked_singular_times(sol, eta: complex, t_max: float, tol: ToleranceConfig)
             logs.append(logs[-1] + cmath.log(curve(t_band) / path[len(taus) - 1]))
             taus.append(t_band)
     for lam in denominator_log_targets(sol, curve, taus, logs, 1.0, math.log(band)):
-        warp_value = 1.0 - eta * expm1(lam) / sol.y10
-        for tc in real_times(_warp_times(warp_value, eta, t_max), t_max):
+        for tc in real_times(_warp_times(-eta * expm1(lam) / sol.y10, eta, t_max), t_max):
             try:
                 log_val = per_call_warp_log(sol.y10, eta, tc, tol.sing_tol)[1]
             except SingularPointError:

@@ -540,6 +540,35 @@ class TestToleranceOverrides:
     def test_bad_flag_override_rejected(self, spec1):
         assert main(["check", spec1, "--eq-tol", "-1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lift", "--sing-tol", "1e-8"],
+            ["lift", "--eq-tol", "1e-12"],
+            ["check", "--sing-tol", "1e-8"],
+            ["check", "--oracle-tol", "1e-5"],
+            ["solve", "--t-end", "1", "--t-step", "0.5", "--oracle-tol", "1e-5"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_the_command_does_not_read_is_refused(self, argv, spec3, capsys):
+        # each subcommand takes only the tolerance flags it reads
+        assert main([argv[0], spec3, *argv[1:]]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--eq-tol", "1e-12"],
+            ["solve", "--t-end", "1", "--t-step", "0.5", "--eq-tol", "1e-12", "--sing-tol", "1e-8"],
+            ["validate", "--eq-tol", "1e-12", "--sing-tol", "1e-8", "--oracle-tol", "1e-5"],
+            ["iso", "--eq-tol", "1e-12", "--sing-tol", "1e-8", "--oracle-tol", "1e-5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_flags_the_command_reads_are_taken(self, argv, spec3):
+        assert main([argv[0], spec3, *argv[1:]]) == 0
+
 
 class TestUsage:
     def test_no_command(self):

@@ -38,7 +38,7 @@ from quadode import (
     solve_lifted,
     time_warp,
 )
-from quadode.canonical import eval_canonical_general
+from quadode.canonical import eval_canonical_general, log_targets_in_box, singular_times
 from quadode import extensions
 from quadode.extensions import _WarpLog
 from conftest import ALL_EXAMPLES, EXAMPLE1, EXAMPLE2, EXAMPLE3, sample_solvable_system
@@ -357,6 +357,25 @@ class TestSolveLifted:
         for g, r in zip(got, numeric.states[-1]):
             assert abs(g - r) <= 1e-7 * (1 + abs(r))
 
+    @pytest.mark.parametrize("eta", [0.3, -0.4 + 0.7j])
+    def test_y1_zero_against_oracle(self, eta):
+        # y1(0) = 0 exactly: s = 1 along the whole path and no closed form of
+        # log s is built; y2 = y2(0)/(1 - y2(0) warp(t)) has its pole where
+        # exp(eta*t) = 1 + eta/y2(0)
+        sys = forward_map(CanonicalParams(0.3, 0.2), linear_change_from_b(((1, 0), (0, 1))))
+        lifted, z0 = lift(sys, LiftParams((0, 0), eta)), (0.0, 0.5)
+        traj = solve_lifted(lifted, z0, t_max=3.0)
+        assert traj._warp is None
+        if eta == 0.3:
+            assert traj.t_singular == (pytest.approx(math.log1p(eta / 0.5) / eta, rel=1e-15),)
+        else:  # exp(eta*t) = 1 + eta/y2(0) only at t = ln|1 + eta/y2(0)|/Re(eta) < 0
+            assert traj.t_singular == ()
+        times = [0.2, 0.5, 0.9]
+        numeric = integrate(lifted, z0, times[-1], t_eval=times)
+        for t, want in zip(times, numeric.states):
+            for g, w in zip(eval_lifted(traj, t), want):
+                assert abs(g - w) <= 1e-7 * (1 + abs(w))
+
     def test_lifted_singularity_detection(self):
         # eta = 0 must reproduce the base singular time
         lifted = lift(EXAMPLE2, LiftParams(zbar=(0, 0), eta=0))
@@ -507,6 +526,97 @@ class TestTinyRates:
                 assert abs(z - w) <= bound * abs(w)
 
 
+def small_part(rng):
+    """A real or, half the time, complex number with parts in U(-2, 2)."""
+    if rng.random() < 0.5:
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    return rng.uniform(-2, 2)
+
+
+class TestSmallRealRates:
+    """The zeros of s and the branch times of the lift start from
+    log1p(eta/y1(0)), so a small real rate keeps the digits that
+    log(1 + eta/y1(0)) rounds away (relative error ~eps/|eta/y1(0)|)."""
+
+    @staticmethod
+    def canonical_lift(eta):
+        # b = I: y(0) = z(0) = (1, 0.5), and s = 0 at exp(eta*t) = 1 + eta
+        sys = forward_map(CanonicalParams(0.3, 0.2), linear_change_from_b(((1, 0), (0, 1))))
+        return solve_lifted(lift(sys, LiftParams((0, 0), eta)), (1, 0.5), t_max=2.0)
+
+    def test_pass_at_the_true_pole(self):
+        # log(1 + 1e-9) put the pass at 1.000000082, so eval_lifted returned
+        # a value at t = 1.5, past the pole at 0.9999999995
+        traj = self.canonical_lift(1e-9)
+        pole = math.log1p(1e-9) / 1e-9
+        assert [tau for tau, _ in traj._warp.passes] == [pytest.approx(pole, rel=1e-15)]
+        with pytest.raises(SingularPointError) as excinfo:
+            eval_lifted(traj, 1.5)
+        assert excinfo.value.t == pytest.approx(pole, rel=1e-15)
+
+    def test_listed_pole(self):
+        # listed at 0.99999995058 where log(1 + eta) was taken
+        traj = self.canonical_lift(1e-7)
+        assert traj.t_singular[-1] == pytest.approx(math.log1p(1e-7) / 1e-7, rel=1e-15)
+
+    def test_zeros_before_the_pole(self):
+        # the plain flow's seven zeros, shifted by ~eta*t, and the pole; the
+        # zeros were dropped and the pole misplaced where log(1 + x) was taken
+        sol = solve_canonical(
+            CanonicalParams(1.2864604786752638, -0.0748027267220781),
+            CanonicalState(1.7419680990695916, -0.3989507620598345),
+        )
+        eta = 4e-9
+        times = lifted_singular_times(sol, eta, 5.0)
+        plain = singular_times(sol, 5.0)
+        assert len(plain) == 8 and len(times) == 8
+        assert times[:7] == pytest.approx(plain[:7], rel=1e-8)
+        assert times[7] == pytest.approx(math.log1p(eta / sol.y10.real) / eta, rel=1e-15)
+
+    def test_same_zeros_across_the_negligible_rate_threshold(self):
+        # eta*t_max = 2e-8 is enumerated along the warped path, 0.5e-8 by the
+        # unlifted flow: clear of the pole, where the paths differ by ~1e-8
+        # relative, both list the same number of zeros
+        rng = random.Random(3)
+        missed = 0
+        for _ in range(4000):
+            rho = CanonicalParams(small_part(rng), small_part(rng))
+            y10 = rng.uniform(0.2, 2.0)
+            sol = solve_canonical(rho, CanonicalState(y10, small_part(rng)))
+            before = (1.0 - 1e-6) / y10
+            lifted = [t for t in lifted_singular_times(sol, 2e-8 / 5, 5.0) if t < before]
+            plain = [t for t in lifted_singular_times(sol, 0.5e-8 / 5, 5.0) if t < before]
+            missed += len(lifted) != len(plain)
+        assert missed == 0
+
+    def test_box_keeps_the_gap_below_one(self):
+        # |c| = |1 + y1(0)/eta| ~ 5.5e7: formed as log|r| - log|c| and
+        # log1p(-m), the box's lower edge sat at -13.66 where the path's log
+        # reaches -13.82, and at -15.5 where it reaches -18.4
+        y10, eta = 0.7480208436503128, 1.3594836201255875e-08
+        form = _WarpLog(y10, eta)
+        for gap in (1e-6, 1e-8):
+            t_end = form.tau_star * (1.0 - gap)
+            re_lo, re_hi, im_lo, im_hi = form.log_box(t_end)
+            log_s = walked_log(y10, eta, t_end)[1]
+            assert re_lo <= log_s.real <= re_hi and im_lo <= log_s.imag <= im_hi
+
+    def test_box_agrees_with_the_walk(self, monkeypatch):
+        # real rates |eta| ~ 1e-8: the targets read off the box are those the
+        # waypoint walk bounds
+        rng = random.Random(11)
+        cases = []
+        for _ in range(1500):
+            rho = CanonicalParams(small_part(rng), small_part(rng))
+            y10 = rng.uniform(0.2, 2.0) * rng.choice((1, -1))
+            sol = solve_canonical(rho, CanonicalState(y10, small_part(rng)))
+            cases.append((sol, rng.uniform(0.5e-8, 2e-8) * rng.choice((1, -1))))
+        boxed = [lifted_singular_times(sol, eta, 5.0) for sol, eta in cases]
+        monkeypatch.setattr(_WarpLog, "log_box", lambda self, t_end: None)
+        walked = [lifted_singular_times(sol, eta, 5.0) for sol, eta in cases]
+        assert sum(a != b for a, b in zip(boxed, walked)) == 0
+
+
 class TestRatesPastTheFloatRange:
     """Where exp(eta*t) leaves floating point, eval_lifted raises a ValueError
     that names eta and t."""
@@ -528,6 +638,12 @@ class TestRatesPastTheFloatRange:
         sol = solve_canonical(CanonicalParams(0.3, 0.2), CanonicalState(1, 0.5))
         with pytest.raises(ValueError, match=r"eta = 1e\+300j, t_max = 1"):
             lifted_singular_times(sol, 1e300j, 1e10)
+
+    def test_branch_times_past_the_float_range(self):
+        # y1(0) = 0 and log1p(eta/y2(0))/eta overflows: no finite lattice
+        # origin, and no branch time within 1e300 is real
+        sol = solve_canonical(CanonicalParams(0.3, 0.2), CanonicalState(0, 1e-320))
+        assert lifted_singular_times(sol, 1e-308 + 1e-308j, 1e300) == []
 
     @pytest.mark.parametrize("eta", [1e308j, 1e300 + 1e300j, -1e300 + 1e300j])
     def test_log_box_gives_way_to_the_walk(self, eta):
@@ -732,6 +848,21 @@ class TestLiftedSingularTimes:
                 continue
             checked += 1
         assert checked >= 30
+
+    def test_no_targets_at_u_minus(self, monkeypatch):
+        # u(0) = u- exactly: y2 = u- y1 has no denominator to vanish, so the
+        # box of an inside orbit (here a decaying real path) holds no targets
+        probe = solve_canonical(CanonicalParams(0.3, 0.2), CanonicalState(1.0, 0.0))
+        sol = solve_canonical(probe.params, CanonicalState(0.8, probe.u_minus * 0.8))
+        assert sol._consts[1] == 0  # a = y2(0) - u- y1(0)
+        read = []
+        monkeypatch.setattr(
+            extensions,
+            "log_targets_in_box",
+            lambda *args: read.append(log_targets_in_box(*args)) or read[-1],
+        )
+        assert lifted_singular_times(sol, -2.0, 5.0) == []
+        assert read == [[]]
 
     @pytest.mark.parametrize("eta", [-0.5 - 1j, -0.5 + 1j])
     def test_path_ends_at_the_first_pass(self, eta, monkeypatch):
