@@ -2,12 +2,13 @@
 systems, and isochrony analysis.
 
 The lift substitutes z_n(t) = exp(eta*t) * x_n(warp(t)) + zbar_n with the
-warped time warp(t) = (exp(eta*t) - 1)/eta into a homogeneous quadratic
-system, producing an autonomous system with full quadratic-plus-affine
-right-hand side that inherits closed-form solvability.  For eta = i*omega
-and a rational power exponent the lifted flow is periodic: every solution
-returns after the warped time traverses its circle enough times for the
-continued power to come back to its starting branch.
+warped time warp(t) = (exp(eta*t) - 1)/eta = t*phi1(eta*t), taken with no
+series and continuous through eta = 0 without dividing by eta, into a
+homogeneous quadratic system, producing an autonomous system with full
+quadratic-plus-affine right-hand side that inherits closed-form solvability.
+For eta = i*omega and a rational power exponent the lifted flow is periodic:
+every solution returns after the warped time traverses its circle enough
+times for the continued power to come back to its starting branch.
 
 Evaluation and the singular-time enumeration take log s along the warped
 path s(t) = 1 - y1(0)*warp(t) from one closed form (``_WarpLog``):
@@ -19,7 +20,7 @@ path.  A trajectory builds its form once, and its singular times and every
 ``eval_lifted`` share its constants and its tolerance-free list of the times
 where the path may pass near 0; each point tests that list against its own
 sing_tol and takes exp(eta*t), the warped time, s and log s from one
-exponential.
+exponential (and a sinh where |eta*t| < 1/2).
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ from .solver import prepare
 from .transform import Pair, QuadraticSystem, push_state
 
 _TWO_PI = 2.0 * math.pi
-
-# |eta * t| below which the warped time is evaluated by series, and below
-# which (scaled by horizon) the lift degenerates to the unlifted flow.
-_SMALL_WARP = 1e-6
-_ETA_NEGLIGIBLE = 1e-8
 
 # decompose recovers delta to ~1e-12 relative (worst 8.4e-13 over 4342 seeded
 # systems, half of them real; ~1e-14 in Im delta on a complex-rho delta = 2/3);
@@ -198,27 +194,31 @@ def lift(sys: QuadraticSystem, p: LiftParams) -> LiftedSystem:
 
 
 def _growth_and_warp(eta: complex, t: float) -> tuple[complex, complex]:
-    """exp(eta*t) and the warped time (exp(eta*t) - 1)/eta, from one
-    exponential; ValueError naming eta and t where exp(eta*t) lies beyond
+    """exp(eta*t) and the warped time t*phi1(eta*t), phi1(x) = (exp(x) - 1)/x
+    (``time_warp``); ValueError naming eta and t where exp(eta*t) lies beyond
     floating point."""
     x = eta * t
+    if x.real * x.real + x.imag * x.imag < 0.25:
+        # exp(x) - 1 = 2 exp(x/2) sinh(x/2) does not cancel (``numerics.expm1``)
+        h = 0.5 * x
+        eh = cmath.exp(h)
+        return eh * eh, t * (eh * cmath.sinh(h) / h if h else 1.0)
     try:
         growth = cmath.exp(x)
     except (OverflowError, ValueError):  # Re(eta*t) past ~709, or eta*t itself infinite
         raise ValueError(
             f"exp(eta*t) lies beyond floating point at eta = {eta!r}, t = {t!r}"
         ) from None
-    if abs(x) <= _SMALL_WARP:
-        return growth, t * (1.0 + x / 2.0 + x * x / 6.0)
-    return growth, (growth - 1.0) / eta
+    return growth, (growth - 1.0) / eta  # |eta*t| >= 1/2: loses at most a bit
 
 
 def time_warp(eta: complex, t: float) -> complex:
-    """Warped time (exp(eta*t) - 1)/eta, continuous through eta = 0.
+    """Warped time (exp(eta*t) - 1)/eta as t*phi1(eta*t): no series, and
+    continuous through eta = 0 without dividing by eta (exactly t there).
 
-    Small |eta*t| is evaluated by series to avoid the cancellation in the
-    direct quotient.  Where exp(eta*t) lies beyond floating point it raises
-    ValueError naming eta and t.
+    Where |eta*t| < 1/2, phi1 comes from exp and sinh of eta*t/2 (Higham,
+    Accuracy and Stability, sec. 1.14).  Where exp(eta*t) lies beyond
+    floating point it raises ValueError naming eta and t.
     """
     return _growth_and_warp(eta, t)[1]
 
@@ -513,9 +513,12 @@ def eval_lifted(
     return (growth * x[0] + zbar[0], growth * x[1] + zbar[1])
 
 
-def _warp_times(x: complex, eta: complex, t_max: float) -> list[complex]:
+def _warp_times(
+    x: complex, eta: complex, t_max: float, base_log: complex | None = None
+) -> list[complex]:
     """Times t with exp(eta*t) = 1 + x, on every branch that can give a real
-    t in (0, t_max].
+    t in (0, t_max]; ``base_log`` is any branch of log(1 + x), log1p(x)
+    when None.
 
     The branch times t_m = (log1p(x) + 2*pi*i*m)/eta are affine in m, so
     those within ``realness_slack`` of (0, t_max] are one lattice query
@@ -526,7 +529,8 @@ def _warp_times(x: complex, eta: complex, t_max: float) -> list[complex]:
     """
     if x == -1:
         return []
-    base_log = log1p(x)  # keeps the digits of a tiny x, as log(1 + x) would not
+    if base_log is None:
+        base_log = log1p(x)  # keeps the digits of a tiny x, as log(1 + x) would not
     start, step = base_log / eta, _TWO_PI * 1j / eta
     turns = math.ceil((abs(eta) * t_max + abs(base_log)) / _TWO_PI) + 1
     ms = range(-turns, turns + 1)
@@ -578,7 +582,7 @@ def _lifted_times(
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     reach = math.hypot(eta.real, eta.imag) * t_max
-    if reach <= _ETA_NEGLIGIBLE:
+    if reach == 0:  # exp(eta*t) = 1 and warp(t) = t in floating point
         return singular_times(sol, t_max, tol)
     if reach == math.inf:
         raise ValueError(
@@ -587,7 +591,13 @@ def _lifted_times(
     if form is None and sol.y10:  # first: it refuses a y1(0)/eta beyond floating point
         form = _WarpLog(sol.y10, eta)
     pole_base = sol.y10 if sol.y10 else sol.y20
-    candidates = _warp_times(eta / pole_base, eta, t_max) if pole_base != 0 else []
+    candidates = []
+    if pole_base != 0:
+        x = eta / pole_base
+        # past floating point 1 + x is x, and any branch of its log will do:
+        # the lattice lists every branch
+        base_log = None if cmath.isfinite(x) else cmath.log(eta) - cmath.log(pole_base)
+        candidates = _warp_times(x, eta, t_max, base_log)
     if form is not None:
         band = tol.sing_tol / math.e
         # The path ends in the band of the first zero of s it meets, a real

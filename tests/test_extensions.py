@@ -200,14 +200,18 @@ class TestTimeWarp:
     def test_eta_zero(self):
         assert time_warp(0.0, 0.7) == 0.7
 
-    def test_series_matches_stable_reference(self):
-        # agree with the cancellation-free expm1 evaluation; just above the
-        # series switch the direct quotient loses ~eps/|eta*t| digits
-        for eta in (1e-9, 1e-7, 1e-5, 1e-3, 0.5):
+    def test_matches_stable_reference(self):
+        # agree with the cancellation-free expm1 evaluation at every size of
+        # eta*t, where the direct quotient loses ~eps/|eta*t| digits
+        for eta in (1e-9, 1e-7, 1.2e-6, 1e-5, 1e-3, 0.5, 2.0):
             t = 0.9
             stable = math.expm1(eta * t) / eta
-            bound = max(1e-12, 10 * 2.3e-16 / (eta * t))
-            assert abs(time_warp(eta, t) - stable) <= bound * abs(stable)
+            assert abs(time_warp(eta, t) - stable) <= 1e-15 * abs(stable)
+
+    def test_subnormal_rate(self):
+        # the warp does not divide by eta where eta*t is tiny
+        for eta in (5e-324, 1e-320j, -1e-310 + 1e-310j):
+            assert time_warp(eta, 0.7) == 0.7
 
     def test_imaginary_eta_circle(self):
         # the warped time of eta = i traces the circle |tau - i| = 1
@@ -500,6 +504,20 @@ class TestExtremeRates:
         with pytest.raises(ValueError, match="eta"):
             self.solved(1e308 + 1e308j)
 
+    def test_y1_over_a_tiny_rate_past_floating_point(self):
+        # y1(0)/eta = 1e309: refused as solve_lifted refuses it, where a
+        # switch to the unlifted flow once answered it
+        sol = solve_canonical(CanonicalParams(0.3, 0.2), CanonicalState(1, 0.5))
+        with pytest.raises(ValueError, match="eta"):
+            lifted_singular_times(sol, 1e-309, 1.0)
+
+    def test_y2_pole_past_an_overflowing_ratio(self):
+        # y1(0) = 0: the pole solves exp(eta*t) = 1 + eta/y2(0), whose ratio
+        # 1e330 overflows; its log is log(eta) - log(y2(0))
+        sol = solve_canonical(CanonicalParams(0.3, 0.2), CanonicalState(0, 1e-320))
+        (t,) = lifted_singular_times(sol, 1e10, 1.0)
+        assert t == pytest.approx((math.log(1e10) + 320 * math.log(10)) / 1e10, rel=1e-14)
+
     def test_subnormal_y1_over_eta(self):
         # y1(0) is kept as given, so y1(0)/eta can be subnormal; the pole
         # candidate 1 + eta/y1(0) would overflow after it
@@ -573,10 +591,22 @@ class TestSmallRealRates:
         assert times[:7] == pytest.approx(plain[:7], rel=1e-8)
         assert times[7] == pytest.approx(math.log1p(eta / sol.y10.real) / eta, rel=1e-15)
 
-    def test_same_zeros_across_the_negligible_rate_threshold(self):
-        # eta*t_max = 2e-8 is enumerated along the warped path, 0.5e-8 by the
-        # unlifted flow: clear of the pole, where the paths differ by ~1e-8
-        # relative, both list the same number of zeros
+    def test_horizon_does_not_move_the_times(self):
+        # a tiny rate is enumerated along the warped path at every horizon;
+        # a switch to the unlifted flow below |eta|*t_max = 1e-8 listed these
+        # 5e-10 apart at t_max = 9 and 11, and the pole at 1.0, past the pass
+        # at which eval_lifted raises
+        traj = self.canonical_lift(1e-9)
+        short, long = (lifted_singular_times(traj.canonical, 1e-9, t) for t in (9.0, 11.0))
+        assert len(short) == len(long) == 4
+        assert all(abs(a - b) <= 1e-15 * b for a, b in zip(short, long))
+        with pytest.raises(SingularPointError) as excinfo:
+            eval_lifted(traj, 0.99999999975)
+        assert excinfo.value.t == short[-1]
+
+    def test_same_zeros_at_two_tiny_rates(self):
+        # eta*t_max = 2e-8 and 0.5e-8: clear of the pole, where the paths
+        # differ by ~1e-8 relative, both list the same number of zeros
         rng = random.Random(3)
         missed = 0
         for _ in range(4000):

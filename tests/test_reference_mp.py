@@ -17,7 +17,19 @@ import pytest
 
 mp = pytest.importorskip("mpmath").mp
 
-from quadode import CanonicalParams, CanonicalState, eval_canonical, solve_canonical, time_warp
+from quadode import (
+    CanonicalParams,
+    CanonicalState,
+    LiftParams,
+    eval_canonical,
+    eval_lifted,
+    forward_map,
+    lift,
+    linear_change_from_b,
+    solve_canonical,
+    solve_lifted,
+    time_warp,
+)
 from quadode.canonical import eval_canonical_general
 from quadode.extensions import _WarpLog
 from quadode.numerics import expm1, log1p
@@ -135,3 +147,33 @@ def test_expm1_and_log1p():
         w = cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-3, 3)) - 1.0 if rng.random() < 0.3 else z
         worst = max(worst, float(abs(log1p(w) - mp.log1p(w)) / abs(mp.log1p(w))))
     assert worst <= 1e-15
+
+
+# |eta*t| across the old series switch at 1e-6 and the switch of phi1 at 1/2
+WARP_SIZES = [1e-10, 1e-8, 1e-6, 1.01e-6, 1e-5, 1e-4, 1e-2, 0.3, 0.49, 0.51, 1.0]
+RATE_DIRECTIONS = {
+    "real": [1.0, -1.0],
+    "imaginary": [1j, -1j],
+    "general": [cmath.rect(1.0, a) for a in (0.4, 1.2, 2.0, -2.6)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RATE_DIRECTIONS))
+def test_warp_and_lifted_state_at_small_rates(kind):
+    # the warp is formed in mpmath, not taken from the program as in
+    # test_lifted_evaluator; b = I, so the base flow is the canonical one
+    t = 0.5
+    sys = forward_map(CanonicalParams(0.3, 0.2), linear_change_from_b(((1, 0), (0, 1))))
+    with mp.workdps(40):
+        for direction in RATE_DIRECTIONS[kind]:
+            for size in WARP_SIZES:
+                eta = direction * (size / t)
+                x = mp.mpc(eta) * t
+                warp = mp.expm1(x) / mp.mpc(eta)
+                assert abs(time_warp(eta, t) - warp) / abs(warp) <= TOL, (eta, t)
+                traj = solve_lifted(lift(sys, LiftParams((0, 0), eta)), (1, 0.5), t_max=1.0)
+                (b11, b12), (b21, b22) = traj.decomposition.change.b
+                y1, y2 = reference(traj.canonical, warp)
+                growth = mp.exp(x)
+                want = (growth * (b11 * y1 + b12 * y2), growth * (b21 * y1 + b22 * y2))
+                assert error(eval_lifted(traj, t), want) <= TOL, (eta, t)

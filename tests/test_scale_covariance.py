@@ -7,6 +7,12 @@ exactly, so a closed form whose every decision is relative returns exactly
 scaled results.  ``t_max`` is always passed: ``default_horizon`` is not
 scale-free.
 
+The lift z(t) = exp(eta*t)*x(warp(t)) + zbar has the same symmetry in
+eta: with eta -> lam*eta, z -> lam*z (z(0) and zbar alike) and t -> t/lam,
+eta*t is unchanged, the warped time t*phi1(eta*t) scales by 1/lam and the
+base flow is evaluated at the same point, so states scale by lam and
+singular times by 1/lam.
+
 The state scale lam runs over 2^-60 .. 2^60.  The coefficient scale k stops
 at 2: larger k reaches the gauge hole of ``decompose`` (ROADMAP item 2), whose
 gauge b11 = 1 is not scale-free.  There EXAMPLE1 drifts by 2e-14 at k = 2^7
@@ -15,7 +21,21 @@ and 1e-9 at 2^10, and from about 2^19 on no example decomposes.
 
 import pytest
 
-from quadode import QuadOdeError, QuadraticSystem, eval_trajectory, integrate, solve_ivp
+from quadode import (
+    CanonicalParams,
+    LiftParams,
+    QuadOdeError,
+    QuadraticSystem,
+    eval_lifted,
+    eval_trajectory,
+    forward_map,
+    integrate,
+    lift,
+    linear_change_from_b,
+    solve_ivp,
+    solve_lifted,
+    time_warp,
+)
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
 
 STATE_POWERS = [-60, -32, -1, 0, 7, 40, 60]
@@ -54,6 +74,42 @@ def test_trajectory_and_singular_times_scale(base, log_k, log_lam):
     for t, x in samples:
         want = (lam * x[0], lam * x[1])
         assert state_error(eval_trajectory(other, t / rate), want) <= 1e-14
+
+
+LIFT_RATES = {"real": -0.4, "imaginary": 0.7j, "general": 0.3 + 0.8j}
+ZBAR = (0.25, -0.5)
+LIFT_T_MAX = 4.0
+# b = I, so x = y: s = 1 - y1(0)*warp(t) vanishes at t = 1, a pole that a
+# complex rate lists only where the path meets 0 on the real axis
+CANONICAL = forward_map(CanonicalParams(0.3, 0.2), linear_change_from_b(((1, 0), (0, 1))))
+LIFT_CASES = [
+    pytest.param(sys, (ZBAR[0] + X0[0], ZBAR[1] + X0[1]), eta, id=f"{name}-{rate}")
+    for name, sys in (("ex1", EXAMPLE1), ("ex2", EXAMPLE2), ("ex3", EXAMPLE3))
+    for rate, eta in LIFT_RATES.items()
+] + [
+    pytest.param(CANONICAL, (ZBAR[0] + 1 / time_warp(eta, 1.0), ZBAR[1] + 0.3), eta, id=f"pole-{rate}")
+    for rate, eta in LIFT_RATES.items()
+    if eta.imag
+]
+
+
+@pytest.mark.parametrize("sys, z0, eta", LIFT_CASES)
+def test_lifted_flow_scales_with_the_rate(sys, z0, eta):
+    def solve(lam):
+        lifted = lift(sys, LiftParams((lam * ZBAR[0], lam * ZBAR[1]), lam * eta))
+        return solve_lifted(lifted, (lam * z0[0], lam * z0[1]), t_max=LIFT_T_MAX / lam)
+
+    traj = solve(1.0)
+    first = traj.t_singular[0] if traj.t_singular else LIFT_T_MAX
+    samples = [(t, eval_lifted(traj, t)) for t in [first * f for f in (0.0, 0.1, 0.35, 0.6, 0.85)]]
+    for m in range(-20, 21):
+        lam = 2.0**m
+        other = solve(lam)
+        assert len(other.t_singular) == len(traj.t_singular), m
+        for got, want in zip(other.t_singular, traj.t_singular):
+            assert abs(got * lam - want) <= 1e-15 * want, m
+        for t, z in samples:
+            assert state_error(eval_lifted(other, t / lam), (lam * z[0], lam * z[1])) <= 1e-14, (m, t)
 
 
 @pytest.mark.xfail(strict=True, raises=QuadOdeError, reason="the gauge hole, ROADMAP item 2")
