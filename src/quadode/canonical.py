@@ -19,15 +19,17 @@ sit where the continued logarithm of s reaches a target
 lam_k = -(log(dm/dp) + 2 pi i k)/delta, with dm = u(0) - u-, dp = u(0) - u+:
 a lattice affine in k.  One enumerator, ``denominator_log_targets``, lists
 the targets near the log image of a path given by waypoints, splitting boxes
-until each holds few lattice indices; the real flow (``singular_times``, a
-straight path) and the lifted flow (in ``extensions``, waypoints along the
-warped path, each with its logarithm in closed form) differ only in the path
-they pass and in how a target becomes a time.  A lifted path whose whole log
-image is boxed in closed form reads its targets off that box
-(``log_targets_in_box``).  One routine, ``lattice_indices``, turns a box into
-the indices of an affine lattice for both, and for the branch times of the
-lift's exp(eta*t) = 1 + x as well.
-``real_times`` filters, sorts and merges the candidate times of both.
+until each holds few lattice indices.  It reads the path's continued
+logarithm, at the waypoints and at the midpoints where it splits, and never
+rebuilds it from s: the real flow (``singular_times``) passes the principal
+log of its straight path, and the lifted flow (in ``extensions``) the closed
+form of log s along the warped path.  The two differ only in that logarithm,
+in their waypoints and in how a target becomes a time.  A lifted path whose
+whole log image is boxed in closed form reads its targets off that box
+(``log_targets_in_box``).  One routine, ``lattice_indices``, turns a box
+into the indices of an affine lattice for both, and for the branch times of
+the lift's exp(eta*t) = 1 + x as well.  ``real_times`` filters, sorts and
+merges the candidate times of both.
 """
 
 from __future__ import annotations
@@ -165,16 +167,25 @@ def eval_canonical_general(
     The one judge of a singular point, for real-time evaluation and the
     exponential lift alike: it raises SingularPointError, carrying t, when
     ``pole_near`` holds for s (1 - y2(0)*warped_t when y1(0) = 0) or the
-    denominator D is within sing_tol*(|a*E/y1(0)| + |P|) of 0.
+    denominator D is within sing_tol*(|a*E/y1(0)| + |P|) of 0.  Where a test
+    fires on a term past floating point, it is taken again on scaled terms
+    before it decides: s/y2(0) for an infinite y2(0)*warped_t, D/a for an
+    infinite a*E/y1(0).  An infinite y1(0)*warped_t still counts as the pole.
     """
     y10, a, uy, neg_delta = sol._consts
     w = (y10 if y10 else sol.y20) * warped_t
     s = 1.0 - w
     if abs(s) <= tol.sing_tol * (1.0 + abs(w)):  # pole_near(w), on the s formed here
-        pole = "y1" if y10 else "y2"
-        raise SingularPointError(
-            f"pole of {pole}: 1 - {pole}(0) t vanishes", factor=f"1 - {pole}(0) t", t=t
-        )
+        # where y1(0) = 0, a w past floating point is re-formed as w/y2(0):
+        # the same test on s/y2(0) = 1/y2(0) - warped_t
+        inv = 0j if y10 else 1.0 / sol.y20
+        if y10 or cmath.isfinite(w) or abs(inv - warped_t) <= tol.sing_tol * (
+            abs(inv) + abs(warped_t)
+        ):
+            pole = "y1" if y10 else "y2"
+            raise SingularPointError(
+                f"pole of {pole}: 1 - {pole}(0) t vanishes", factor=f"1 - {pole}(0) t", t=t
+            )
     if not y10:
         w, s = 0j, 1.0  # and D = 1 - y2(0) t, the pole factor just tested
     # g = L/w, so that L/y1(0) = t*g.  The principal L is w*g with
@@ -203,9 +214,15 @@ def eval_canonical_general(
     if past:  # D and a times 1/P, which is ``power`` here
         a, power = a * power, 1.0
     den = a_e + power
-    # a term past floating point (inf or NaN) counts as singular, as an
-    # infinite w does in the pole test
-    if not abs(den) > tol.sing_tol * (abs(a_e) + abs(power)):
+    clear = abs(den) > tol.sing_tol * (abs(a_e) + abs(power))
+    if not clear and not cmath.isfinite(a_e) and sol._consts[1]:
+        # a term a*E/y1(0) past floating point: D is re-formed as D/a(0), whose
+        # terms E/y1(0) and P/a(0) take the same test, and a/D as (a/a(0))/(D/a(0))
+        a0 = sol._consts[1]
+        a_e, power, a = warped_t * g * phi, power / a0, a / a0
+        den = a_e + power
+        clear = abs(den) > tol.sing_tol * (abs(a_e) + abs(power))
+    if not clear:  # a term still inf or NaN counts as singular
         raise SingularPointError("zero of the ratio denominator", factor="u denominator", t=t)
     # the NamedTuple's own __new__ is a Python function; the state skips it
     return tuple.__new__(CanonicalState, (y10 / s, (a / den + uy) / s))
@@ -229,30 +246,32 @@ def eval_canonical(
 
 def denominator_log_targets(
     sol: CanonicalSolution,
-    curve: Callable[[float], complex],
+    log_at: Callable[[float], complex | None],
     taus: Sequence[float],
     logs: Sequence[complex],
     bulge: float,
     re_floor: float,
 ) -> list[complex]:
-    """Values of the continued logarithm of s = curve(tau) at which the ratio
-    denominator vanishes, near the path through the waypoints ``taus``.
+    """Values of the continued logarithm of s at which the ratio denominator
+    vanishes, near the log image of a path through the waypoints ``taus``.
 
-    ``logs[j]`` is the continued logarithm of curve(taus[j]).  Between two
-    waypoints the logarithm is taken to stay in the box its end values span,
-    widened by ``bulge`` times their distance (0 for a straight path cut where
-    |s| is least, whose pieces have monotone |s| and arg s) and by the
-    realness tolerance of a candidate time, carried into the log plane (at
-    most 1: where it would be more, |s| is within that tolerance of the pole).
+    ``log_at(tau)`` is the continued logarithm of s at tau, None where
+    s = 0; ``logs[j]`` is its value at taus[j].  Between two waypoints the
+    logarithm is taken to stay in the box its end values span, widened by
+    ``bulge`` times their distance (0 for a straight path cut where |s| is
+    least, whose pieces have monotone |s| and arg s) and by the realness
+    tolerance of a candidate time, carried into the log plane (at most 1:
+    where it would be more, |s| is within that tolerance of the pole).
     Boxes are floored at Re = ``re_floor``, where a caller cuts out a pole's
     band, and capped at Re = 700, beyond which exp overflows.
 
     The targets lam_k = -(log(dm/dp) + 2*pi*i*k)/delta are affine in the
     branch index k, so each side of a box bounds k directly.  A box holding
     more than _SPLIT_INDICES indices is split, at its middle waypoint or at
-    the curve's midpoint, until its slack outweighs its extent; so the work
-    follows the number of targets near the path, not the density |delta| of
-    the lattice.  At delta = 0 there is the single target -1/dp; where
+    the midpoint in tau of its one chord, read from ``log_at`` (a midpoint
+    where s = 0 keeps every index of the box), until its slack outweighs its
+    extent; so the work follows the number of targets near the path, not the
+    density |delta| of the lattice.  At delta = 0 there is the single target -1/dp; where
     y1(0) = 0 or u(0) = u+- exactly there is none.
     """
     lattice = _target_lattice(sol)
@@ -295,11 +314,10 @@ def denominator_log_targets(
         else:
             (t0, t1), (l0, l1) = node_taus, node_logs
             tm = 0.5 * (t0 + t1)
-            sm = curve(tm)
-            if not t0 < tm < t1 or sm == 0:
+            lm = log_at(tm) if t0 < tm < t1 else None
+            if lm is None:
                 found.update(ks)
                 continue
-            lm = l0 + cmath.log(sm / cmath.exp(l0))
             stack.append(([t0, tm], [l0, lm], [slack(t0, l0, tm, lm)]))
             stack.append(([tm, t1], [lm, l1], [slack(tm, lm, t1, l1)]))
     return _targets(lattice, found)
@@ -419,13 +437,14 @@ def singular_times(
         return real_times([1.0 / sol.y20] if sol.y20 else [], t_max)
     candidates = [1.0 / y1]
 
-    def line(t: float) -> complex:
-        return 1.0 - y1 * t
+    def log_line(t: float) -> complex | None:  # principal, as on any straight path from s = 1
+        s = 1.0 - y1 * t
+        return cmath.log(s) if s else None
 
     t_foot = y1.real / abs(y1) / abs(y1)  # where |s| is least; the pole if y1(0) is real
     pieces = [(0.0, t_max)]
     re_floor = -math.inf
-    gap = (tol.sing_tol / math.e) ** 2 - abs(line(t_foot)) ** 2
+    gap = (tol.sing_tol / math.e) ** 2 - abs(1.0 - y1 * t_foot) ** 2
     if gap > 0 and real_times(candidates, t_max):
         half = math.sqrt(gap) / abs(y1)
         pieces = [(0.0, min(t_foot - half, t_max)), (t_foot + half, t_max)]
@@ -434,8 +453,8 @@ def singular_times(
         if not lo < hi:
             continue
         taus = [lo, t_foot, hi] if lo < t_foot < hi else [lo, hi]
-        logs = [cmath.log(line(t)) for t in taus]
-        for lam in denominator_log_targets(sol, line, taus, logs, 0.0, re_floor):
+        logs = [log_line(t) for t in taus]  # s != 0: the pole's band is cut out
+        for lam in denominator_log_targets(sol, log_line, taus, logs, 0.0, re_floor):
             if abs(lam.imag) <= math.pi + _IMAG_TOL:  # principal branch only
                 candidates.append(-expm1(lam) / y1)
     return real_times(candidates, t_max)

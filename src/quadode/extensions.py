@@ -16,11 +16,15 @@ evaluation costs the same at any t.  Where the path stays inside the circle
 |E| = |c| about which it turns, the enumeration reads its log targets off one
 closed-form box of the path's whole log image, at the same cost for any
 horizon; elsewhere it bounds them with about eight waypoints per turn of the
-path.  A trajectory builds its form once, and its singular times and every
+path, and reads the same closed form wherever it splits a chord.  A
+trajectory builds its form once, and its singular times and every
 ``eval_lifted`` share its constants and its tolerance-free list of the times
-where the path may pass near 0; each point tests that list against its own
-sing_tol and takes exp(eta*t), the warped time, s and log s from one
-exponential (and a sinh where |eta*t| < 1/2).
+where the path may pass near 0.  Each point tests that list against its own
+sing_tol and takes exp(eta*t) and the warped time from one exponential (and
+a sinh where |eta*t| < 1/2).  Where the path is principal up to t it hands
+the evaluator no logarithm, as ``eval_canonical`` does, and the evaluator
+takes the principal Log s of the s it forms; only a winding or crossing path
+reads log s off the closed form.
 """
 
 from __future__ import annotations
@@ -226,13 +230,16 @@ def time_warp(eta: complex, t: float) -> complex:
 def _needs_split(a: complex, b: complex) -> bool:
     # split when the chord subtends more than ~pi/4 at the origin or the
     # radial move is large, so log s between two waypoints stays near the box
-    # of their logarithms
+    # of their logarithms.  The enumerator reads the closed form at its own
+    # midpoints, but that fixes only their branch; its boxes rely on this
+    # bound on the log image between waypoints.  Without it, three strata of
+    # test_matches_dense_walk_enumeration miss zeros that the dense walk finds.
     ratio = b / a
     return ratio.real <= 0.0 or abs(ratio.imag) > ratio.real or abs(ratio - 1.0) > 0.75
 
 
 class _WarpLog:
-    """s = 1 - y10*warp(tau) and its logarithm, continued along the warped
+    """The logarithm of s = 1 - y10*warp(tau), continued along the warped
     path from log s(0) = 0, in closed form: the cost does not depend on tau.
 
     With r = y10/eta and c = 1 + r, s(tau) = c - E(tau), E(tau) = r*exp(eta*tau):
@@ -241,7 +248,8 @@ class _WarpLog:
     Re(-s/E) > 0 and log s = K_out + eta*tau + Log(-s/E), Log principal.  |E|
     is monotone, so [0, tau] crosses |E| = |c| at most once, at
     tau* = Re(ell)/Re(eta), where ell = log(c/r) = log1p(eta/y10) is taken
-    once, with the digits of a tiny rate kept; the zeros of s are
+    once, with the digits of a tiny rate kept (log(eta) - log(y10) where
+    eta/y10 overflows); the zeros of s are
     (ell + 2*pi*i*m)/eta.  log s(0) = 0 fixes the constant before tau*,
     and continuity at tau* the one after it, which is built only when a later
     tau asks for it (on a real path the pole sits at tau*, where s = 0).  For
@@ -253,7 +261,9 @@ class _WarpLog:
     tolerance, where the path may pass near 0: the real parts tau > 0 of the
     zeros of s that ``_nearest_zeros`` picks, each with its w = y10*warp(tau),
     sorted by tau; ``run`` holds the zeros between them that approach the
-    real axis, or None.  ``first_pass`` tests them against a caller's sing_tol.
+    real axis, or None.  ``first_pass`` tests them against a caller's
+    sing_tol.  A zero at which exp(eta*tau) lies beyond floating point is not
+    listed: evaluation raises its ValueError before the path gets there.
     """
 
     __slots__ = (
@@ -283,8 +293,13 @@ class _WarpLog:
                     "floating point"
                 )
             self.c, x = 1.0 + self.r, eta / y10
-            # log(c/r), with the digits of a tiny rate kept; None where c = 0
-            self.ell = log1p(x) if self.c != 0 and x != -1 else None
+            # log(c/r), with the digits of a tiny rate kept; None where c = 0.
+            # Past floating point 1 + x is x, and any branch of its log will
+            # do: only Re(ell) and the lattice of zeros are read.
+            if not cmath.isfinite(x):
+                self.ell = cmath.log(eta) - cmath.log(y10)
+            else:
+                self.ell = log1p(x) if self.c != 0 and x != -1 else None
             if eta.real != 0 and self.ell is not None:
                 self.tau_star = self.ell.real / eta.real
                 # which side of |E| = |c| the path is on just after 0
@@ -303,7 +318,12 @@ class _WarpLog:
                         f"eta = {eta!r} is out of range: the zeros of 1 - y1(0)*warp(t) "
                         "lie beyond floating point"
                     ) from None
-        self.passes = [(tau, y10 * time_warp(eta, tau)) for tau in sorted(set(taus)) if tau > 0]
+        self.passes = []
+        for tau in sorted(tau for tau in set(taus) if tau > 0):
+            try:
+                self.passes.append((tau, y10 * time_warp(eta, tau)))
+            except ValueError:  # here and later exp(eta*tau) is past floating point,
+                break  # and evaluation raises before the path gets there
 
     def _local(self, tau: float, s: complex, growth: complex, outside: bool) -> complex:
         # a logarithm of s(tau), continuous on its side of |E| = |c|
@@ -311,16 +331,16 @@ class _WarpLog:
             return self.eta * tau + cmath.log(-s / (self.r * growth))
         return cmath.log(s / self.c)
 
-    def _at(self, tau: float) -> tuple[complex, complex, complex, complex]:
+    def _at(self, tau: float) -> tuple[complex, complex | None]:
+        # s(tau) and its continued logarithm, None where s = 0
         growth, warp = _growth_and_warp(self.eta, tau)
         w = self.y10 * warp
         s = 1.0 - w
         if not s:  # no logarithm at s = 0, where the evaluator raises
-            return growth, warp, s, 0j
+            return s, None
         # K + Log(s/c) cancels digits where |c| is large (a tiny rate); the
-        # form only selects the branch of the principal Log s, which is
-        # numerics.log1p(-w) written out, as eval_lifted runs it at every point.
-        log_s = cmath.log(s) * (w / (1.0 - s)) if s != 1.0 else -w
+        # form only selects the branch of the principal Log s.
+        log_s = log1p(-w)
         if 0 < self.tau_star < tau:
             if self.k_after is None:
                 growth_star, warp_star = _growth_and_warp(self.eta, self.tau_star)
@@ -330,21 +350,21 @@ class _WarpLog:
                 self.k_after -= self._local(self.tau_star, s_star, growth_star, not self.outside)
             value = self.k_after + self._local(tau, s, growth, not self.outside)
         elif self.principal:
-            return growth, warp, s, log_s
+            return s, log_s
         else:
             value = self.k_before + self._local(tau, s, growth, self.outside)
-        return growth, warp, s, log_s + _TWO_PI * 1j * round((value.imag - log_s.imag) / _TWO_PI)
+        return s, log_s + _TWO_PI * 1j * round((value.imag - log_s.imag) / _TWO_PI)
 
-    def s(self, tau: float) -> complex:
-        return 1.0 - self.y10 * time_warp(self.eta, tau)
+    def __call__(self, tau: float) -> complex | None:
+        """The logarithm of s(tau) continued along the path, None where
+        s = 0: the enumeration's ``log_at``.  s must not vanish at tau* < tau."""
+        return self._at(tau)[1]
 
-    def __call__(self, tau: float) -> tuple[complex, complex]:
-        """s(tau) and its continued logarithm; s must not vanish at tau* < tau."""
-        return self._at(tau)[2:]
-
-    def point(self, t: float, sing_tol: float) -> tuple[complex, complex, complex, complex]:
-        """exp(eta*t), warp(t), s(t) and log s(t).  Raises SingularPointError
-        when s passed the pole test (``pole_near``) before t."""
+    def point(self, t: float, sing_tol: float) -> complex | None:
+        """log s(t) continued along the path, or None where the path is
+        principal up to t, so that the evaluator takes the principal Log s of
+        the s it forms.  Raises SingularPointError when s passed the pole test
+        (``pole_near``) before t."""
         if self.passes or self.run is not None:
             t_pass = self.first_pass(t, sing_tol)
             if t_pass < t:
@@ -353,7 +373,7 @@ class _WarpLog:
                     factor="1 - y1(0) t",
                     t=t_pass,
                 )
-        return self._at(t)
+        return None if self.principal and not 0 < self.tau_star < t else self(t)
 
     def log_box(self, t_end: float) -> tuple[float, float, float, float] | None:
         """A box (re_lo, re_hi, im_lo, im_hi) that holds log s(tau) for every
@@ -424,12 +444,12 @@ def _warp_path(form: _WarpLog, t: float) -> tuple[list[float], list[complex]]:
     """
     n = max(8, math.ceil(4.0 * (abs(form.eta) * t) / math.pi))
     taus, logs, last = [0.0], [0j], 1.0 + 0.0j
-    pending = [(t * j / n, *form(t * j / n), 0) for j in range(n, 0, -1)]
+    pending = [(t * j / n, *form._at(t * j / n), 0) for j in range(n, 0, -1)]
     while pending:
         tau, s, log_s, depth = pending.pop()
         if depth < 24 and _needs_split(last, s):
             mid = 0.5 * (taus[-1] + tau)
-            pending += [(tau, s, log_s, depth + 1), (mid, *form(mid), depth + 1)]
+            pending += [(tau, s, log_s, depth + 1), (mid, *form._at(mid), depth + 1)]
         else:
             taus.append(tau)
             logs.append(log_s)
@@ -505,10 +525,8 @@ def eval_lifted(
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     sol, eta, zbar = traj.canonical, traj.lifted.eta, traj.lifted.zbar
-    if traj._warp is not None:
-        growth, tau, _, log_s = traj._warp.point(t, tol.sing_tol)
-    else:
-        (growth, tau), log_s = _growth_and_warp(eta, t), 0j
+    log_s = traj._warp.point(t, tol.sing_tol) if traj._warp is not None else None
+    growth, tau = _growth_and_warp(eta, t)
     x = push_state(traj.decomposition.change, eval_canonical_general(sol, t, tau, log_s, tol))
     return (growth * x[0] + zbar[0], growth * x[1] + zbar[1])
 
@@ -610,12 +628,12 @@ def _lifted_times(
         targets = log_targets_in_box(sol, box, math.log(band)) if box is not None else None
         if targets is None:
             taus, logs = _warp_path(form, t_end)  # t_end > 0: |s(t_end)| <= band < |s(0)|
-            targets = denominator_log_targets(sol, form.s, taus, logs, 1.0, math.log(band))
+            targets = denominator_log_targets(sol, form, taus, logs, 1.0, math.log(band))
         for lam in targets:
             for tc in real_times(_warp_times(-eta * expm1(lam) / sol.y10, eta, t_max), t_max):
                 if form.first_pass(tc, tol.sing_tol) < tc:
                     continue  # an earlier pole dominates this candidate
-                if abs(form(tc)[1] - lam) <= 1e-6 * (1.0 + abs(lam)):
+                if abs(form(tc) - lam) <= 1e-6 * (1.0 + abs(lam)):
                     candidates.append(tc)
     return real_times(candidates, t_max)
 

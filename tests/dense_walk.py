@@ -13,6 +13,7 @@ of s nearest the real axis within [0, t], found anew for each t.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 
@@ -82,7 +83,7 @@ def per_call_warp_log(y10: complex, eta: complex, t: float, sing_tol: float):
         w = y10 * time_warp(eta, tau)
         if 0 < tau < t and abs(1.0 - w) <= sing_tol * (1.0 + abs(w)):
             raise SingularPointError("warped path passed the pole", factor="1 - y1(0) t", t=tau)
-    return form(t)
+    return 1.0 - y10 * time_warp(eta, t), form(t)
 
 
 def needs_split(a: complex, b: complex) -> bool:
@@ -152,7 +153,14 @@ def walked_singular_times(sol, eta: complex, t_max: float, tol: ToleranceConfig)
         if t_band > taus[-1]:
             logs.append(logs[-1] + cmath.log(curve(t_band) / path[len(taus) - 1]))
             taus.append(t_band)
-    for lam in denominator_log_targets(sol, curve, taus, logs, 1.0, math.log(band)):
+
+    def log_at(tau: float) -> complex | None:
+        # the walk's own continuation: one chord on from the nearest earlier waypoint
+        j = bisect.bisect_right(taus, tau) - 1
+        s = curve(tau)
+        return logs[j] + cmath.log(s / curve(taus[j])) if s else None
+
+    for lam in denominator_log_targets(sol, log_at, taus, logs, 1.0, math.log(band)):
         for tc in real_times(_warp_times(-eta * expm1(lam) / sol.y10, eta, t_max), t_max):
             try:
                 log_val = per_call_warp_log(sol.y10, eta, tc, tol.sing_tol)[1]

@@ -20,6 +20,7 @@ from quadode import (
     singular_times,
     solve_canonical,
 )
+from quadode.canonical import _target_lattice, denominator_log_targets
 
 
 def as_rhs(params):
@@ -409,3 +410,26 @@ class TestSingularTimes:
         sol = solve_canonical(CanonicalParams(0, 0), CanonicalState(1, 2))
         with pytest.raises(ValueError):
             singular_times(sol, 0.0)
+
+
+class TestDenominatorLogTargets:
+    def test_a_midpoint_where_s_vanishes_keeps_every_index(self):
+        # delta = 100: targets 2*pi/100 apart along Im, 47 of them in the box
+        # of two waypoints.  The enumerator splits the one chord at its
+        # midpoint, where log_at reports s = 0, and keeps the whole box.
+        delta, rho2 = 100.0, 0.5
+        sol = solve_canonical(
+            CanonicalParams(((1 - rho2) ** 2 - delta**2) / 4, rho2), CanonicalState(1.0, 0.3)
+        )
+        origin, step = _target_lattice(sol)
+        asked = []
+
+        def log_at(tau):
+            asked.append(tau)
+            return None
+
+        logs = [origin - 0.1 - 1.5j, origin + 0.1 + 1.5j]
+        got = denominator_log_targets(sol, log_at, [0.0, 1.0], logs, 0.0, -math.inf)
+        assert asked == [0.5]
+        assert len(got) == 47
+        assert set(got) == {origin + k * step for k in range(-23, 24)}

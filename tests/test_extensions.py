@@ -221,8 +221,12 @@ class TestTimeWarp:
 
 
 def _warp_log(y10, eta, t, sing_tol):
-    """s(t) and log s(t) from the library's closed form, built for one call."""
-    return _WarpLog(y10, eta).point(t, sing_tol)[2:]
+    """s(t) and log s(t) from the library's closed form, built for one call:
+    the pass rule of ``point``, then the logarithm continued along the path,
+    principal or not."""
+    form = _WarpLog(y10, eta)
+    form.point(t, sing_tol)
+    return 1.0 - y10 * time_warp(eta, t), form(t)
 
 
 def rel_log_error(got, want):
@@ -335,7 +339,7 @@ class TestWarpLog:
         first = (cmath.log((1 + r) / r) / eta).real % (2 * math.pi)
         form = _WarpLog(y10, eta)
         assert abs(form.first_pass(40.0, 1e-9) - first) <= 1e-12
-        assert abs(form.s(first)) <= 1e-15
+        assert abs(1.0 - y10 * time_warp(eta, first)) <= 1e-15
         with pytest.raises(SingularPointError) as excinfo:
             form.point(40.0, 1e-9)
         assert excinfo.value.t == form.first_pass(40.0, 1e-9)
@@ -519,11 +523,30 @@ class TestExtremeRates:
         assert t == pytest.approx((math.log(1e10) + 320 * math.log(10)) / 1e10, rel=1e-14)
 
     def test_subnormal_y1_over_eta(self):
-        # y1(0) is kept as given, so y1(0)/eta can be subnormal; the pole
-        # candidate 1 + eta/y1(0) would overflow after it
+        # y1(0) is kept as given, so y1(0)/eta can be subnormal, and
+        # eta/y1(0) overflows: log(c/r) is log(eta) - log(y1(0)).  |E| stays
+        # below |c| = 1 wherever exp(eta*t) is finite: no time is singular.
         sol = solve_canonical(CanonicalParams(0.3, 0.2), CanonicalState(1e-320, 0.5))
-        with pytest.raises(ValueError, match="eta"):
-            lifted_singular_times(sol, 1 + 1j, 1.0)
+        assert lifted_singular_times(sol, 1 + 1j, 1.0) == []
+        assert lifted_singular_times(sol, 1 + 1j, 400.0) == []
+        sys = forward_map(CanonicalParams(0.3, 0.2), linear_change_from_b(((1, 0), (0, 1))))
+        lifted, z0 = lift(sys, LiftParams((0, 0), 1 + 1j)), (1e-320, 0.5)
+        traj = solve_lifted(lifted, z0, t_max=1.0)
+        assert traj.t_singular == ()
+        times = [0.2, 0.5, 1.0]
+        numeric = integrate(lifted, z0, times[-1], t_eval=times)
+        for t, want in zip(times, numeric.states):
+            for g, w in zip(eval_lifted(traj, t), want):
+                assert abs(g - w) <= 1e-7 * (1 + abs(w))
+
+    def test_subnormal_y1_over_a_huge_rate(self):
+        # y1(0)/eta = -1e-309j is subnormal: the warped time is a circle of
+        # radius 1e-308, so x stays at x(0) while exp(eta*t) turns it
+        line = QuadraticSystem(((1, 0, 0), (1, 3, 1)))
+        traj = solve_lifted(lift(line, LiftParams((0, 0), 1e308j)), (0.1, 0.1))
+        for t in (1e-308, 3e-308):
+            want = 0.1 * cmath.exp(1e308j * t)
+            assert all(abs(z - want) <= 1e-15 for z in eval_lifted(traj, t))
 
 
 class TestTinyRates:
@@ -658,11 +681,11 @@ class TestRatesPastTheFloatRange:
             eval_lifted(traj, t)
 
     def test_zeros_of_s_past_the_float_range(self):
-        # y1(0)/eta = -1e-309j is subnormal, so log(c/r), the index of the
-        # zeros of s, is infinite; the rate is named, not a NaN conversion
+        # log(c/r) is finite, but its quotient by eta = 5e-324j, the index of
+        # the zeros of s, is not; the rate is named, not a NaN conversion
         line = QuadraticSystem(((1, 0, 0), (1, 3, 1)))
-        with pytest.raises(ValueError, match=r"eta = 1e\+308j is out of range"):
-            solve_lifted(lift(line, LiftParams((0, 0), 1e308j)), (0.1, 0.1))
+        with pytest.raises(ValueError, match=r"eta = 5e-324j is out of range"):
+            solve_lifted(lift(line, LiftParams((0, 0), 5e-324j)), (1e-320, 0.1))
 
     def test_turns_up_to_t_max_past_the_float_range(self):
         sol = solve_canonical(CanonicalParams(0.3, 0.2), CanonicalState(1, 0.5))

@@ -44,7 +44,7 @@ def digits(sol) -> int:
     digits, and log10|y2(0)/y1(0)| more as y1(0) -> 0."""
     lost = 0.0
     if sol.y10 and sol.y20:
-        lost += max(0.0, math.log10(abs(sol.y20) / abs(sol.y10)))
+        lost += max(0.0, math.log10(abs(sol.y20)) - math.log10(abs(sol.y10)))
     if sol.delta:
         lost += max(0.0, -math.log10(abs(sol.delta)))
     return 50 + int(lost)
@@ -116,13 +116,27 @@ def test_lifted_evaluator(kind):
     for sol in cases(kind):
         with mp.workdps(digits(sol)):
             for t in (0.3, 0.5, 1.5):
-                if sol.y10:
-                    _, warp, _, log_s = _WarpLog(sol.y10, ETA).point(t, 1e-9)
-                else:
-                    warp, log_s = time_warp(ETA, t), 0j
+                # as eval_lifted forms them: None where the path is principal
+                warp = time_warp(ETA, t)
+                log_s = _WarpLog(sol.y10, ETA).point(t, 1e-9) if sol.y10 else None
                 got = eval_canonical_general(sol, t, warp, log_s)
                 path = [time_warp(ETA, t * j / 64) for j in range(1, 64)] + [warp]
                 assert error(got, reference(sol, warp, path)) <= TOL, (sol, t)
+
+
+@pytest.mark.parametrize(
+    "y0, t",
+    [((0.0, 1e308), 2.0), ((0.0, 1e300), 1e9), ((1e-300, 1e300), 1e9)],
+    ids=["y2(0)*t", "y2(0)*t large t", "a*E/y1(0)"],
+)
+def test_terms_past_floating_point_are_not_singular(y0, t):
+    # the named term overflows, yet the state is finite: y2 is near
+    # 1/(1/y2(0) - t), -0.5 and -1e-9 here
+    sol = solve_canonical(CanonicalParams(0.3, 0.2), CanonicalState(*y0))
+    with mp.workdps(digits(sol)):
+        got = eval_canonical(sol, t)
+        assert error(got, reference(sol, t)) <= 1e-12
+    assert abs(got[1] - 1.0 / (1.0 / y0[1] - t)) <= 1e-12 * abs(got[1])
 
 
 def test_the_sweep_reaches_every_label():
