@@ -18,18 +18,17 @@ Besides the pole of y1, the movable singularities are the zeros of D.  They
 sit where the continued logarithm of s reaches a target
 lam_k = -(log(dm/dp) + 2 pi i k)/delta, with dm = u(0) - u-, dp = u(0) - u+:
 a lattice affine in k.  One enumerator, ``denominator_log_targets``, lists
-the targets near the log image of a path given by waypoints, splitting boxes
-until each holds few lattice indices.  It reads the path's continued
-logarithm, at the waypoints and at the midpoints where it splits, and never
-rebuilds it from s: the real flow (``singular_times``) passes the principal
-log of its straight path, and the lifted flow (in ``extensions``) the closed
-form of log s along the warped path.  The two differ only in that logarithm,
-in their waypoints and in how a target becomes a time.  A lifted path whose
-whole log image is boxed in closed form reads its targets off that box
-(``log_targets_in_box``).  One routine, ``lattice_indices``, turns a box
-into the indices of an affine lattice for both, and for the branch times of
-the lift's exp(eta*t) = 1 + x as well.  ``real_times`` filters, sorts and
-merges the candidate times of both.
+the targets near the log image of a path over pieces of time, halving a
+piece until its box holds few lattice indices.  Each flow bounds its own
+continued logarithm of s on a piece, in closed form, and never rebuilds it
+from s: the real flow (``singular_times``) by the end values of the
+principal log on a piece of its straight path where |s| and arg s are
+monotone, and the lifted flow (in ``extensions``) by a tube about its
+warped path or a Lipschitz bound.  The two differ only in that bound, in
+their pieces and in how a target becomes a time.  One routine,
+``lattice_indices``, turns a box into the indices of an affine lattice for
+both, and for the branch times of the lift's exp(eta*t) = 1 + x as well.
+``real_times`` filters, sorts and merges the candidate times of both.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import SingularPointError
 from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, ensure_finite, expm1, log1p
@@ -246,107 +245,62 @@ def eval_canonical(
 
 def denominator_log_targets(
     sol: CanonicalSolution,
-    log_at: Callable[[float], complex | None],
-    taus: Sequence[float],
-    logs: Sequence[complex],
-    bulge: float,
+    pieces: Iterable[tuple[float, float]],
+    box_of: Callable[[float, float], tuple[tuple[float, float, float, float], float] | None],
     re_floor: float,
 ) -> list[complex]:
     """Values of the continued logarithm of s at which the ratio denominator
-    vanishes, near the log image of a path through the waypoints ``taus``.
+    vanishes, near the log image of a path over the pieces (t0, t1) of time.
 
-    ``log_at(tau)`` is the continued logarithm of s at tau, None where
-    s = 0; ``logs[j]`` is its value at taus[j].  Between two waypoints the
-    logarithm is taken to stay in the box its end values span, widened by
-    ``bulge`` times their distance (0 for a straight path cut where |s| is
-    least, whose pieces have monotone |s| and arg s) and by the realness
-    tolerance of a candidate time, carried into the log plane (at most 1:
-    where it would be more, |s| is within that tolerance of the pole).
-    Boxes are floored at Re = ``re_floor``, where a caller cuts out a pole's
-    band, and capped at Re = 700, beyond which exp overflows.
+    ``box_of(t0, t1)`` bounds the path's logarithm over real tau in
+    [t0, t1]: a box (re_lo, re_hi, im_lo, im_hi) that holds it and a bound
+    on |d log s/dtau| there, or None where it has no bound.  Each box is
+    widened by the realness tolerance of a candidate time, carried into the
+    log plane by that rate (at most 1: where it would be more, |s| is within
+    that tolerance of the pole), floored at Re = ``re_floor``, where a caller
+    cuts out a pole's band, and capped at Re = 700, beyond which exp
+    overflows.
 
     The targets lam_k = -(log(dm/dp) + 2*pi*i*k)/delta are affine in the
-    branch index k, so each side of a box bounds k directly.  A box holding
-    more than _SPLIT_INDICES indices is split, at its middle waypoint or at
-    the midpoint in tau of its one chord, read from ``log_at`` (a midpoint
-    where s = 0 keeps every index of the box), until its slack outweighs its
-    extent; so the work follows the number of targets near the path, not the
-    density |delta| of the lattice.  At delta = 0 there is the single target -1/dp; where
+    branch index k, so each side of a box bounds k directly.  A piece whose
+    box holds more than _SPLIT_INDICES indices is halved until its slack
+    outweighs its extent, so the work follows the number of targets near the
+    path, not the density |delta| of the lattice.  A half with no box of its
+    own keeps every index of its piece's box; a piece with no box at all is
+    halved until its halves have one, and one that cannot be halved raises
+    ValueError.  At delta = 0 there is the single target -1/dp; where
     y1(0) = 0 or u(0) = u+- exactly there is none.
     """
     lattice = _target_lattice(sol)
     if lattice is None:
         return []
-
-    def slack(t0: float, l0: complex, t1: float, l1: complex) -> float:
-        # A time within _IMAG_TOL*(1 + t) of the real axis moves s by up to
-        # |ds/dt| times that, and log s by that over |s|; on a chord,
-        # |ds/dt| / min|s| = |s1 - s0| / (min(|s0|, |s1|) * (t1 - t0)).
-        d = l1 - l0 if l1.real >= l0.real else l0 - l1
-        near = 1.0
-        if d.real <= _MAX_LOG_REAL:
-            near = min(near, 2.0 * _IMAG_TOL * (1.0 + abs(t1)) * abs(cmath.exp(d) - 1.0) / (t1 - t0))
-        return bulge * abs(d) + near + _IMAG_TOL
-
-    slacks = [slack(*c) for c in zip(taus, logs, taus[1:], logs[1:])]
-    stack = [(list(taus), list(logs), slacks)] if slacks else []
     found: set[int] = set()
+    stack = [(t0, t1, None) for t0, t1 in pieces if t0 < t1]
     while stack:
-        node_taus, node_logs, node_slacks = stack.pop()
-        pad = max(node_slacks)
-        re = [lam.real for lam in node_logs]
-        im = [lam.imag for lam in node_logs]
-        box = (
-            max(min(re) - pad, re_floor),
-            min(max(re) + pad, _MAX_LOG_REAL),
-            min(im) - pad,
-            max(im) + pad,
-        )
-        ks = lattice_indices(*lattice, box)
-        extent = max(max(re) - min(re), max(im) - min(im))
-        if len(ks) <= _SPLIT_INDICES or extent <= pad - bulge * extent:
-            # few indices, or a box that splitting would not shrink
-            found.update(ks)
-        elif len(node_taus) > 2:
-            mid = len(node_taus) // 2
-            stack.append((node_taus[: mid + 1], node_logs[: mid + 1], node_slacks[:mid]))
-            stack.append((node_taus[mid:], node_logs[mid:], node_slacks[mid:]))
-        else:
-            (t0, t1), (l0, l1) = node_taus, node_logs
-            tm = 0.5 * (t0 + t1)
-            lm = log_at(tm) if t0 < tm < t1 else None
-            if lm is None:
-                found.update(ks)
+        t0, t1, outer = stack.pop()
+        bound = box_of(t0, t1)
+        if bound is None and outer is not None:
+            found.update(outer)  # a half with no box keeps its piece's indices
+            continue
+        ks = None
+        if bound is not None:
+            (re_lo, re_hi, im_lo, im_hi), rate = bound
+            pad = min(1.0, realness_slack(t1) * rate) + _IMAG_TOL
+            ks = lattice_indices(
+                *lattice,
+                (max(re_lo - pad, re_floor), min(re_hi + pad, _MAX_LOG_REAL), im_lo - pad, im_hi + pad),
+            )
+            if len(ks) <= _SPLIT_INDICES or max(re_hi - re_lo, im_hi - im_lo) <= pad:
+                found.update(ks)  # few indices, or a box that halving would not shrink
                 continue
-            stack.append(([t0, tm], [l0, lm], [slack(t0, l0, tm, lm)]))
-            stack.append(([tm, t1], [lm, l1], [slack(tm, lm, t1, l1)]))
+        tm = 0.5 * (t0 + t1)
+        if t0 < tm < t1:
+            stack += [(t0, tm, ks), (tm, t1, ks)]
+        elif ks is not None:
+            found.update(ks)
+        else:
+            raise ValueError(f"no bound on the log image of s near t = {t0!r}")
     return _targets(lattice, found)
-
-
-def log_targets_in_box(
-    sol: CanonicalSolution, box: tuple[float, float, float, float], re_floor: float
-) -> list[complex] | None:
-    """The targets of ``denominator_log_targets`` in a box (re_lo, re_hi,
-    im_lo, im_hi) of the log plane that holds the whole log image of a path,
-    for every time within ``realness_slack`` of it; or None when the box
-    holds more than _SPLIT_INDICES branch indices, where the caller bounds
-    the targets along the path instead.  The box is widened by the realness
-    tolerance, floored at Re = ``re_floor`` and capped at Re = 700, as the
-    boxes of ``denominator_log_targets`` are."""
-    lattice = _target_lattice(sol)
-    if lattice is None:
-        return []
-    re_lo, re_hi, im_lo, im_hi = box
-    ks = lattice_indices(
-        *lattice,
-        (
-            max(re_lo - _IMAG_TOL, re_floor),
-            min(re_hi + _IMAG_TOL, _MAX_LOG_REAL),
-            im_lo - _IMAG_TOL,
-            im_hi + _IMAG_TOL,
-        ),
-    )
-    return _targets(lattice, ks) if len(ks) <= _SPLIT_INDICES else None
 
 
 def _target_lattice(sol: CanonicalSolution) -> tuple[complex, complex] | None:
@@ -374,6 +328,8 @@ def lattice_indices(origin: complex, step: complex, box: tuple) -> range:
     a, b = origin, step
     k_lo, k_hi = -math.inf, math.inf
     for a_c, b_c, lo, hi in ((a.real, b.real, box[0], box[1]), (a.imag, b.imag, box[2], box[3])):
+        if not lo <= hi:  # a box floored or capped past its other side
+            return range(0)
         if b_c == 0.0:
             if not lo <= a_c <= hi:
                 return range(0)
@@ -437,24 +393,26 @@ def singular_times(
         return real_times([1.0 / sol.y20] if sol.y20 else [], t_max)
     candidates = [1.0 / y1]
 
-    def log_line(t: float) -> complex | None:  # principal, as on any straight path from s = 1
-        s = 1.0 - y1 * t
-        return cmath.log(s) if s else None
+    def box_of(t0: float, t1: float) -> tuple[tuple[float, float, float, float], float]:
+        # |s| and arg s are monotone on a piece that t_foot does not split,
+        # so its principal log stays in the box of its end values
+        s0, s1 = 1.0 - y1 * t0, 1.0 - y1 * t1  # != 0: the pole's band is cut out
+        l0, l1 = cmath.log(s0), cmath.log(s1)
+        box = (min(l0.real, l1.real), max(l0.real, l1.real), min(l0.imag, l1.imag), max(l0.imag, l1.imag))
+        return box, abs(y1) / min(abs(s0), abs(s1))
 
     t_foot = y1.real / abs(y1) / abs(y1)  # where |s| is least; the pole if y1(0) is real
-    pieces = [(0.0, t_max)]
+    spans = [(0.0, t_max)]
     re_floor = -math.inf
     gap = (tol.sing_tol / math.e) ** 2 - abs(1.0 - y1 * t_foot) ** 2
     if gap > 0 and real_times(candidates, t_max):
         half = math.sqrt(gap) / abs(y1)
-        pieces = [(0.0, min(t_foot - half, t_max)), (t_foot + half, t_max)]
+        spans = [(0.0, min(t_foot - half, t_max)), (t_foot + half, t_max)]
         re_floor = math.log(tol.sing_tol) - 1.0
-    for lo, hi in pieces:
-        if not lo < hi:
-            continue
-        taus = [lo, t_foot, hi] if lo < t_foot < hi else [lo, hi]
-        logs = [log_line(t) for t in taus]  # s != 0: the pole's band is cut out
-        for lam in denominator_log_targets(sol, log_line, taus, logs, 0.0, re_floor):
-            if abs(lam.imag) <= math.pi + _IMAG_TOL:  # principal branch only
-                candidates.append(-expm1(lam) / y1)
+    pieces = []
+    for lo, hi in spans:
+        pieces += [(lo, t_foot), (t_foot, hi)] if lo < t_foot < hi else [(lo, hi)]
+    for lam in denominator_log_targets(sol, pieces, box_of, re_floor):
+        if abs(lam.imag) <= math.pi + _IMAG_TOL:  # principal branch only
+            candidates.append(-expm1(lam) / y1)
     return real_times(candidates, t_max)

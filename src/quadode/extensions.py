@@ -12,18 +12,18 @@ times for the continued power to come back to its starting branch.
 
 Evaluation and the singular-time enumeration take log s along the warped
 path s(t) = 1 - y1(0)*warp(t) from one closed form (``_WarpLog``):
-evaluation costs the same at any t.  Where the path stays inside the circle
-|E| = |c| about which it turns, the enumeration reads its log targets off one
-closed-form box of the path's whole log image, at the same cost for any
-horizon; elsewhere it bounds them with about eight waypoints per turn of the
-path, and reads the same closed form wherever it splits a chord.  A
-trajectory builds its form once, and its singular times and every
-``eval_lifted`` share its constants and its tolerance-free list of the times
-where the path may pass near 0.  Each point tests that list against its own
-sing_tol and takes exp(eta*t) and the warped time from one exponential (and
-a sinh where |eta*t| < 1/2).  Where the path is principal up to t it hands
-the evaluator no logarithm, as ``eval_canonical`` does, and the evaluator
-takes the principal Log s of the s it forms; only a winding or crossing path
+evaluation costs the same at any t.  The enumeration bounds the path's log
+image piece by piece in closed form: a tube about the path's side of the
+circle |E| = |c| about which it turns, and near the crossing of that circle
+a Lipschitz bound on pieces it halves.  Where no target is near, its cost
+does not grow with the horizon.  A trajectory builds its form once, and its
+singular times and every ``eval_lifted`` share its constants and its
+tolerance-free list of the times where the path may pass near 0.  Each point
+tests that list against its own sing_tol and takes exp(eta*t) and the warped
+time once, from one exponential (and a sinh where |eta*t| < 1/2), for the
+form and the state alike.  Where the path is principal up to t it hands the
+evaluator no logarithm, as ``eval_canonical`` does, and the evaluator takes
+the principal Log s of the s it forms; only a winding or crossing path
 reads log s off the closed form.
 """
 
@@ -38,7 +38,6 @@ from .canonical import (
     denominator_log_targets,
     eval_canonical_general,
     lattice_indices,
-    log_targets_in_box,
     pole_near,
     real_times,
     realness_slack,
@@ -55,7 +54,7 @@ from .numerics import (
     log1p,
     worst_deviation,
 )
-from .solver import prepare
+from .solver import prepare, saturating_horizon
 from .transform import Pair, QuadraticSystem, push_state
 
 _TWO_PI = 2.0 * math.pi
@@ -227,17 +226,6 @@ def time_warp(eta: complex, t: float) -> complex:
     return _growth_and_warp(eta, t)[1]
 
 
-def _needs_split(a: complex, b: complex) -> bool:
-    # split when the chord subtends more than ~pi/4 at the origin or the
-    # radial move is large, so log s between two waypoints stays near the box
-    # of their logarithms.  The enumerator reads the closed form at its own
-    # midpoints, but that fixes only their branch; its boxes rely on this
-    # bound on the log image between waypoints.  Without it, three strata of
-    # test_matches_dense_walk_enumeration miss zeros that the dense walk finds.
-    ratio = b / a
-    return ratio.real <= 0.0 or abs(ratio.imag) > ratio.real or abs(ratio - 1.0) > 0.75
-
-
 class _WarpLog:
     """The logarithm of s = 1 - y10*warp(tau), continued along the warped
     path from log s(0) = 0, in closed form: the cost does not depend on tau.
@@ -255,7 +243,9 @@ class _WarpLog:
     tau asks for it (on a real path the pole sits at tau*, where s = 0).  For
     eta = i*omega nothing is crossed: each period 2*pi/|omega| adds
     2*pi*i*sign(omega) when |r| > |c| and nothing otherwise.  eta = 0 is the
-    straight path, whose continued logarithm is principal.
+    straight path, whose continued logarithm is principal.  ``box`` bounds
+    the log image of a piece of the path in closed form for the singular-time
+    enumeration, and ``pieces`` cuts the path where those bounds change.
 
     One form serves every evaluation of a trajectory.  ``passes`` lists, without any
     tolerance, where the path may pass near 0: the real parts tau > 0 of the
@@ -274,7 +264,8 @@ class _WarpLog:
     def __init__(self, y10: complex, eta: complex):
         # A rate component below 2**-53 of the other moves eta*t by less than
         # the rounding of the other's product, yet its reciprocal can put the
-        # index of the zeros beyond floating point: the path is taken without it.
+        # index of the zeros beyond floating point: the path, and the lifted
+        # state of each ``point``, are taken without it.
         if abs(eta.imag) < 2.0**-53 * abs(eta.real):
             eta = complex(eta.real, 0.0)
         elif abs(eta.real) < 2.0**-53 * abs(eta.imag):
@@ -331,40 +322,45 @@ class _WarpLog:
             return self.eta * tau + cmath.log(-s / (self.r * growth))
         return cmath.log(s / self.c)
 
-    def _at(self, tau: float) -> tuple[complex, complex | None]:
-        # s(tau) and its continued logarithm, None where s = 0
-        growth, warp = _growth_and_warp(self.eta, tau)
-        w = self.y10 * warp
+    def _k_after(self) -> complex:
+        # the constant after tau*, fixed by continuity there; built once asked for
+        if self.k_after is None:
+            growth, warp = _growth_and_warp(self.eta, self.tau_star)
+            s = 1.0 - self.y10 * warp
+            k = self.k_before + self._local(self.tau_star, s, growth, self.outside)
+            self.k_after = k - self._local(self.tau_star, s, growth, not self.outside)
+        return self.k_after
+
+    def _log(self, tau: float, growth: complex, w: complex) -> complex | None:
+        # the continued logarithm of s = 1 - w at tau, where exp(eta*tau) is
+        # growth and w = y10*warp(tau); None where s = 0
         s = 1.0 - w
         if not s:  # no logarithm at s = 0, where the evaluator raises
-            return s, None
+            return None
         # K + Log(s/c) cancels digits where |c| is large (a tiny rate); the
         # form only selects the branch of the principal Log s.
         log_s = log1p(-w)
         if 0 < self.tau_star < tau:
-            if self.k_after is None:
-                growth_star, warp_star = _growth_and_warp(self.eta, self.tau_star)
-                s_star = 1.0 - self.y10 * warp_star
-                self.k_after = self.k_before
-                self.k_after += self._local(self.tau_star, s_star, growth_star, self.outside)
-                self.k_after -= self._local(self.tau_star, s_star, growth_star, not self.outside)
-            value = self.k_after + self._local(tau, s, growth, not self.outside)
+            value = self._k_after() + self._local(tau, s, growth, not self.outside)
         elif self.principal:
-            return s, log_s
+            return log_s
         else:
             value = self.k_before + self._local(tau, s, growth, self.outside)
-        return s, log_s + _TWO_PI * 1j * round((value.imag - log_s.imag) / _TWO_PI)
+        return log_s + _TWO_PI * 1j * round((value.imag - log_s.imag) / _TWO_PI)
 
     def __call__(self, tau: float) -> complex | None:
         """The logarithm of s(tau) continued along the path, None where
-        s = 0: the enumeration's ``log_at``.  s must not vanish at tau* < tau."""
-        return self._at(tau)[1]
+        s = 0.  s must not vanish at tau* < tau."""
+        growth, warp = _growth_and_warp(self.eta, tau)
+        return self._log(tau, growth, self.y10 * warp)
 
-    def point(self, t: float, sing_tol: float) -> complex | None:
-        """log s(t) continued along the path, or None where the path is
-        principal up to t, so that the evaluator takes the principal Log s of
-        the s it forms.  Raises SingularPointError when s passed the pole test
-        (``pole_near``) before t."""
+    def point(self, t: float, sing_tol: float) -> tuple[complex, complex, complex | None]:
+        """exp(eta*t), the warped time and log s(t) continued along the
+        path, that last None where the path is principal up to t, so that
+        the evaluator takes the principal Log s of the s it forms.  Raises
+        SingularPointError when s passed the pole test (``pole_near``)
+        before t, and then ValueError where exp(eta*t) lies beyond floating
+        point."""
         if self.passes or self.run is not None:
             t_pass = self.first_pass(t, sing_tol)
             if t_pass < t:
@@ -373,34 +369,99 @@ class _WarpLog:
                     factor="1 - y1(0) t",
                     t=t_pass,
                 )
-        return None if self.principal and not 0 < self.tau_star < t else self(t)
+        growth, warp = _growth_and_warp(self.eta, t)
+        if self.principal and not 0 < self.tau_star < t:
+            return growth, warp, None
+        return growth, warp, self._log(t, growth, self.y10 * warp)
 
-    def log_box(self, t_end: float) -> tuple[float, float, float, float] | None:
+    def pieces(self, t_end: float) -> list[tuple[float, float]]:
+        """[0, t_end] cut at tau* and at tau* -+ log(2)/|Re(eta)|, where |E/c|
+        is 1/2 or 2: every piece beyond that window lies in a tube with
+        m <= 1/2 (``box``), and the window's width does not depend on t_end."""
+        cuts = [0.0, t_end]
+        if self.eta.real:
+            w = math.log(2.0) / abs(self.eta.real)
+            cuts += [t for t in (self.tau_star - w, self.tau_star, self.tau_star + w) if 0 < t < t_end]
+        cuts.sort()
+        return list(zip(cuts, cuts[1:]))
+
+    def box(
+        self, t0: float, t1: float
+    ) -> tuple[tuple[float, float, float, float], float] | None:
         """A box (re_lo, re_hi, im_lo, im_hi) that holds log s(tau) for every
-        complex tau within ``realness_slack(t_end)`` of [0, t_end], where a
-        candidate time that counts as real may lie; None where the path
-        crosses |E| = |c| or lies outside it there, or a term of the bound
-        leaves floating point.
+        real tau in [t0, t1], 0 <= t0 < t1, and a bound on |d log s/dtau| =
+        |eta| |E|/|s| there: the enumeration's ``box_of``.  It is the
+        intersection of the two closed-form bounds below that hold, None
+        where neither does or a term leaves floating point.
 
-        Inside, log s = K_in + Log(1 - E/c) with |E/c| <= m < 1, where
-        m = |r| max(1, exp(Re(eta) t_end)) exp(|eta| slack) / |c|: Re log s
-        lies in Re K_in + [log1p(-m), log1p(m)] and Im log s within asin(m)
-        of Im K_in.  log m is summed with log|r/c| = -Re(ell), and 1 - m is
+        Tube, on a piece that does not cross |E| = |c|.  Inside,
+        log s = K_in + Log(1 - E/c) with |E/c| <= m < 1: Re log s lies in
+        Re K_in + [log(1 - m), log1p(m)] and Im log s within asin(m) of
+        Im K_in.  Outside, log s = K_out + eta*tau + Log(1 - c/E) with
+        |c/E| <= m' < 1: the box of the segment K_out + eta*[t0, t1], widened
+        as inside by m'.  log m is a difference of logs, and 1 - m is
         -expm1(log m), so the gap below 1 keeps its digits where |c| >> 1.
+        For eta = i*omega the tube is the same at every horizon.
+
+        Lipschitz, on a piece with |eta| (t1 - t0) <= 1, for pieces where m
+        nears 1 and for refinement: |s| >= |s(t0)| - |E(t0)|
+        (exp(|eta| (t1 - t0)) - 1) on the piece, and likewise from t1; where
+        that bound L is positive, log s lies within |eta| (t1 - t0) max|E|/L
+        of its value at either end.
         """
-        eta = self.eta
-        if eta == 0 or self.outside or 0 < self.tau_star <= t_end:
+        speed = math.hypot(self.eta.real, self.eta.imag)
+        tube, lipschitz = self._tube(t0, t1, speed), self._lipschitz(t0, t1, speed)
+        if tube and lipschitz:
+            (a, rate_a), (b, rate_b) = tube, lipschitz
+            box = (max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3]))
+            tube = box, min(rate_a, rate_b)
+        bound = tube or lipschitz
+        return bound if bound and all(map(math.isfinite, bound[0])) else None
+
+    def _tube(self, t0: float, t1: float, speed: float) -> tuple | None:
+        # the tube bound of ``box``, None on a piece that crosses |E| = |c|
+        if t0 < self.tau_star < t1:
             return None
-        log_m = (
-            -self.ell.real  # log|r/c|
-            + max(0.0, eta.real * t_end)
-            + math.hypot(eta.real, eta.imag) * realness_slack(t_end)
+        eta, after = self.eta, 0 < self.tau_star <= t0
+        outside = self.outside != after
+        re0, re1 = sorted((eta.real * t0, eta.real * t1))
+        log_cr = self.ell.real if self.ell is not None else -math.inf  # log|c/r|
+        log_m = log_cr - re0 if outside else re1 - log_cr  # of the largest |c/E| or |E/c|
+        if not log_m < 0.0:
+            return None
+        k = self._k_after() if after else self.k_before
+        m, gap = math.exp(log_m), -math.expm1(log_m)
+        lo, hi, half = k.real + math.log(gap), k.real + math.log1p(m), math.asin(m)
+        if not outside:
+            return (lo, hi, k.imag - half, k.imag + half), speed * m / gap
+        im0, im1 = sorted((eta.imag * t0, eta.imag * t1))
+        return (lo + re0, hi + re1, k.imag + im0 - half, k.imag + im1 + half), speed / gap
+
+    def _lipschitz(self, t0: float, t1: float, speed: float) -> tuple | None:
+        # the Lipschitz bound of ``box``, None where it does not hold
+        if not speed * (t1 - t0) <= 1.0:
+            return None
+        ends = []
+        for tau in (t0, t1):
+            try:
+                growth, warp = _growth_and_warp(self.eta, tau)
+                w = self.y10 * warp
+                ends.append((abs(1.0 - w), abs(self.r * growth), self._log(tau, growth, w)))
+            except (OverflowError, ValueError):  # a term lies beyond floating point
+                return None
+        (s0, e0, l0), (s1, e1, l1) = ends
+        grow = math.expm1(speed * (t1 - t0))
+        least = max(s0 - e0 * grow, s1 - e1 * grow)  # a bound on min |s| over the piece
+        if not least > 0.0 or l0 is None or l1 is None:  # None: s = 0 at an end
+            return None
+        rho = speed * (t1 - t0) * max(e0, e1) / least  # finite where the rate is not
+        box = (
+            max(l0.real, l1.real) - rho,
+            min(l0.real, l1.real) + rho,
+            max(l0.imag, l1.imag) - rho,
+            min(l0.imag, l1.imag) + rho,
         )
-        if not log_m < 0.0:  # also where log_m is inf or NaN
-            return None
-        k, m = self.k_before, math.exp(log_m)
-        re_lo = k.real + math.log(-math.expm1(log_m))  # log(1 - m), with 1 - m kept as m -> 1
-        return (re_lo, k.real + math.log1p(m), k.imag - math.asin(m), k.imag + math.asin(m))
+        return box, speed * max(e0, e1) / least
 
     def first_pass(self, t: float, sing_tol: float) -> float:
         """The first pass in (0, t) at which s meets the pole test
@@ -429,32 +490,6 @@ class _WarpLog:
             mid = (m_lo + m_hi) // 2
             m_lo, m_hi = (m_lo, mid) if meets_test(mid) else (mid + 1, m_hi)
         return (first + m_hi * step).real
-
-
-def _warp_path(form: _WarpLog, t: float) -> tuple[list[float], list[complex]]:
-    """Parameters tau in [0, t] and the logarithms of s at them: the path the
-    enumeration walks where ``_WarpLog.log_box`` gives no box, or a box that
-    holds many branch indices.
-
-    Eight chords per turn or per e-fold of E = r*exp(eta*tau), so at most
-    pi/4 of |eta| tau each, are split at midpoints of the true curve, up to 24
-    times, wherever consecutive waypoints turn too far around the origin: the
-    count follows the turns of the path and its close approaches to 0, not
-    |eta| t at a fixed density.  Every logarithm comes from the closed form.
-    """
-    n = max(8, math.ceil(4.0 * (abs(form.eta) * t) / math.pi))
-    taus, logs, last = [0.0], [0j], 1.0 + 0.0j
-    pending = [(t * j / n, *form._at(t * j / n), 0) for j in range(n, 0, -1)]
-    while pending:
-        tau, s, log_s, depth = pending.pop()
-        if depth < 24 and _needs_split(last, s):
-            mid = 0.5 * (taus[-1] + tau)
-            pending += [(tau, s, log_s, depth + 1), (mid, *form._at(mid), depth + 1)]
-        else:
-            taus.append(tau)
-            logs.append(log_s)
-            last = s
-    return taus, logs
 
 
 def _nearest_zeros(first: complex, step: complex) -> tuple[list[float], tuple | None]:
@@ -497,11 +532,7 @@ def solve_lifted(
     x0 = (z0[0] - ls.zbar[0], z0[1] - ls.zbar[1])
     dec, canonical = prepare(ls.base, x0, branch, tol)
     if t_max is None:
-        c, size = ls.base.max_abs(), max(abs(x0[0]), abs(x0[1]))
-        t_max = 10.0 / (1.0 + abs(ls.eta) + c * size)
-        if t_max == 0.0:  # the rate overflows: 10 over its larger term, divided in turn
-            t_max = min(10.0 / c / size, 10.0 / abs(ls.eta) if ls.eta else math.inf)
-            t_max = max(t_max, math.ulp(0.0))
+        t_max = saturating_horizon(ls.base, x0, abs(ls.eta))
     traj = LiftedTrajectory(
         lifted=ls, decomposition=dec, canonical=canonical, z0=z0, x0=x0, t_singular=()
     )
@@ -524,9 +555,12 @@ def eval_lifted(
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    sol, eta, zbar = traj.canonical, traj.lifted.eta, traj.lifted.zbar
-    log_s = traj._warp.point(t, tol.sing_tol) if traj._warp is not None else None
-    growth, tau = _growth_and_warp(eta, t)
+    sol, zbar = traj.canonical, traj.lifted.zbar
+    if traj._warp is None:
+        growth, tau = _growth_and_warp(traj.lifted.eta, t)
+        log_s = None
+    else:
+        growth, tau, log_s = traj._warp.point(t, tol.sing_tol)
     x = push_state(traj.decomposition.change, eval_canonical_general(sol, t, tau, log_s, tol))
     return (growth * x[0] + zbar[0], growth * x[1] + zbar[1])
 
@@ -574,16 +608,15 @@ def lifted_singular_times(
     every such zero is reported except zeros inside the pole's sing_tol band
     (|1 - y1(0) warp(t)| < sing_tol/e), which are reported as the pole.
     The path ends in the band of the first zero of s it meets: a real pole,
-    or a pass within the pole test past which evaluation raises.  Where the
-    path stays inside |E| = |c| up to there, the log targets are read off a
-    closed-form box that holds its whole log image (``_WarpLog.log_box``), at
-    a cost that does not grow with t_max.  Where it crosses or lies outside,
-    or where the box holds more than a few branch indices, they are bounded
-    near the log image given by the waypoints of ``_warp_path`` (about eight
-    per turn, more near close approaches to 0), each with its logarithm from
-    the closed form.  Candidate times come from exact inversion of the warp,
-    and each candidate is confirmed by the same closed form at that time,
-    which also drops candidates the path reaches only past a pole.
+    or a pass within the pole test past which evaluation raises.  Its log
+    targets are bounded piece by piece in closed form (``_WarpLog.pieces``
+    and ``_WarpLog.box``): a tube about the path's side of |E| = |c| outside
+    a window about the crossing whose width does not depend on t_max, and
+    within it a Lipschitz bound on pieces the enumeration halves.  Where no
+    target is near, the cost does not grow with t_max.  Candidate times come
+    from exact inversion of the warp, and each candidate is confirmed by the
+    same closed form at that time, which also drops candidates the path
+    reaches only past a pole.
     """
     return _lifted_times(sol, eta, t_max, tol, None)
 
@@ -606,35 +639,32 @@ def _lifted_times(
         raise ValueError(
             f"|eta|*t_max lies beyond floating point at eta = {eta!r}, t_max = {t_max!r}"
         )
-    if form is None and sol.y10:  # first: it refuses a y1(0)/eta beyond floating point
-        form = _WarpLog(sol.y10, eta)
-    pole_base = sol.y10 if sol.y10 else sol.y20
-    candidates = []
-    if pole_base != 0:
-        x = eta / pole_base
+    if not sol.y10:  # the pole of y2 is the only singular point
+        if not sol.y20:
+            return []
+        x = eta / sol.y20
         # past floating point 1 + x is x, and any branch of its log will do:
         # the lattice lists every branch
-        base_log = None if cmath.isfinite(x) else cmath.log(eta) - cmath.log(pole_base)
-        candidates = _warp_times(x, eta, t_max, base_log)
-    if form is not None:
-        band = tol.sing_tol / math.e
-        # The path ends in the band of the first zero of s it meets, a real
-        # pole or a pass past which evaluation raises: near a zero at t0,
-        # s = c*(1 - exp(eta*(t - t0))), and |1 - exp(z)| <= exp(|z|) - 1.
-        t_stop = min(real_times(candidates, t_max)[:1], default=math.inf)
-        t_stop = min(t_stop, form.first_pass(min(t_stop, t_max), tol.sing_tol))
-        t_end = t_stop - math.log1p(band / abs(form.c)) / abs(eta) if t_stop < math.inf else t_max
-        box = form.log_box(t_end)
-        targets = log_targets_in_box(sol, box, math.log(band)) if box is not None else None
-        if targets is None:
-            taus, logs = _warp_path(form, t_end)  # t_end > 0: |s(t_end)| <= band < |s(0)|
-            targets = denominator_log_targets(sol, form, taus, logs, 1.0, math.log(band))
-        for lam in targets:
-            for tc in real_times(_warp_times(-eta * expm1(lam) / sol.y10, eta, t_max), t_max):
-                if form.first_pass(tc, tol.sing_tol) < tc:
-                    continue  # an earlier pole dominates this candidate
-                if abs(form(tc) - lam) <= 1e-6 * (1.0 + abs(lam)):
-                    candidates.append(tc)
+        base_log = None if cmath.isfinite(x) else cmath.log(eta) - cmath.log(sol.y20)
+        return real_times(_warp_times(x, eta, t_max, base_log), t_max)
+    if form is None:  # first: it refuses a y1(0)/eta beyond floating point
+        form = _WarpLog(sol.y10, eta)
+    # the pole's branch times start from the form's log(c/r) = log1p(eta/y1(0))
+    candidates = _warp_times(eta / sol.y10, eta, t_max, form.ell)
+    band = tol.sing_tol / math.e
+    # The path ends in the band of the first zero of s it meets, a real
+    # pole or a pass past which evaluation raises: near a zero at t0,
+    # s = c*(1 - exp(eta*(t - t0))), and |1 - exp(z)| <= exp(|z|) - 1.
+    t_stop = min(real_times(candidates, t_max)[:1], default=math.inf)
+    t_stop = min(t_stop, form.first_pass(min(t_stop, t_max), tol.sing_tol))
+    t_end = t_stop - math.log1p(band / abs(form.c)) / abs(eta) if t_stop < math.inf else t_max
+    pieces = form.pieces(t_end)  # t_end > 0: |s(t_end)| <= band < |s(0)|
+    for lam in denominator_log_targets(sol, pieces, form.box, math.log(band)):
+        for tc in real_times(_warp_times(-eta * expm1(lam) / sol.y10, eta, t_max), t_max):
+            if form.first_pass(tc, tol.sing_tol) < tc:
+                continue  # an earlier pole dominates this candidate
+            if abs(form(tc) - lam) <= 1e-6 * (1.0 + abs(lam)):
+                candidates.append(tc)
     return real_times(candidates, t_max)
 
 

@@ -35,11 +35,19 @@ def default_horizon(sys: QuadraticSystem, x0: Pair) -> float:
     product overflows, the window is 10 divided by each factor in turn, and
     at least the least positive float.
     """
+    return saturating_horizon(sys, x0, 0.0)
+
+
+def saturating_horizon(sys: QuadraticSystem, x0: Pair, rate: float) -> float:
+    """10/(1 + rate + max|c|*max|x0|): the default horizon of ``solve_ivp``
+    (rate 0, ``default_horizon``) and of ``solve_lifted`` (rate |eta|).
+    Where the sum overflows, the least of 10 over each term in turn (the
+    product divided factor by factor), but at least the least positive float."""
     c, size = sys.max_abs(), max(abs(x0[0]), abs(x0[1]))
-    scale = c * size
-    if scale < math.inf:
-        return 10.0 / (1.0 + scale)
-    return max(10.0 / c / size, math.ulp(0.0))
+    horizon = 10.0 / (1.0 + rate + c * size)
+    if horizon == 0.0:  # the sum is inf, so c*size > 0: 1 + rate alone cannot overflow
+        horizon = max(min(10.0 / c / size, 10.0 / rate if rate else math.inf), math.ulp(0.0))
+    return horizon
 
 
 def _checked_x0(x0) -> Pair:

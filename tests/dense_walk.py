@@ -160,7 +160,24 @@ def walked_singular_times(sol, eta: complex, t_max: float, tol: ToleranceConfig)
         s = curve(tau)
         return logs[j] + cmath.log(s / curve(taus[j])) if s else None
 
-    for lam in denominator_log_targets(sol, log_at, taus, logs, 1.0, math.log(band)):
+    def box_of(t0: float, t1: float):
+        # the walk's bound: the logs at the ends and at the waypoints between
+        # them, widened by the longest chord between them, and the largest
+        # chord rate |s_b/s_a - 1|/(t_b - t_a), ordered so that |s_a| <= |s_b|
+        j0, j1 = bisect.bisect_right(taus, t0), bisect.bisect_left(taus, t1)
+        ends = (log_at(t0), log_at(t1))
+        if None in ends:
+            return None
+        ts, ls = [t0, *taus[j0:j1], t1], [ends[0], *logs[j0:j1], ends[1]]
+        longest = rate = 0.0
+        for ta, la, tb, lb in zip(ts, ls, ts[1:], ls[1:]):
+            d = lb - la if lb.real >= la.real else la - lb
+            longest = max(longest, abs(d))
+            rate = max(rate, abs(cmath.exp(d) - 1.0) / (tb - ta) if d.real <= 700 else math.inf)
+        re, im = [lam.real for lam in ls], [lam.imag for lam in ls]
+        return (min(re) - longest, max(re) + longest, min(im) - longest, max(im) + longest), rate
+
+    for lam in denominator_log_targets(sol, [(taus[0], taus[-1])], box_of, math.log(band)):
         for tc in real_times(_warp_times(-eta * expm1(lam) / sol.y10, eta, t_max), t_max):
             try:
                 log_val = per_call_warp_log(sol.y10, eta, tc, tol.sing_tol)[1]

@@ -176,7 +176,7 @@ class TestFiniteInputNeverOverflows:
             eval_trajectory(traj, 1e-300)
 
     def test_warp_path_at_a_huge_rate(self):
-        # 4*|eta| overflowed before the product with t
+        # a waypoint count 4*|eta|*t/pi once overflowed before the product with t
         traj = solve_lifted(lift(EXAMPLE1, LiftParams((0, 0), 1e308j)), (1, 1))
         assert all(t > 0 for t in traj.t_singular)
 

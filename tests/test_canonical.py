@@ -413,23 +413,47 @@ class TestSingularTimes:
 
 
 class TestDenominatorLogTargets:
-    def test_a_midpoint_where_s_vanishes_keeps_every_index(self):
-        # delta = 100: targets 2*pi/100 apart along Im, 47 of them in the box
-        # of two waypoints.  The enumerator splits the one chord at its
-        # midpoint, where log_at reports s = 0, and keeps the whole box.
+    @staticmethod
+    def dense_lattice():
+        # delta = 100: targets 2*pi/100 apart along Im
         delta, rho2 = 100.0, 0.5
         sol = solve_canonical(
             CanonicalParams(((1 - rho2) ** 2 - delta**2) / 4, rho2), CanonicalState(1.0, 0.3)
         )
-        origin, step = _target_lattice(sol)
+        return sol, *_target_lattice(sol)
+
+    def test_a_half_with_no_box_keeps_every_index(self):
+        # 47 targets in the box of the piece [0, 1].  The enumerator halves
+        # the piece; its halves have no box of their own (box_of says None),
+        # so each keeps the whole box of the piece.
+        sol, origin, step = self.dense_lattice()
         asked = []
 
-        def log_at(tau):
-            asked.append(tau)
-            return None
+        def box_of(t0, t1):
+            asked.append((t0, t1))
+            if (t0, t1) != (0.0, 1.0):
+                return None
+            lo, hi = origin - 0.1 - 1.5j, origin + 0.1 + 1.5j
+            return (lo.real, hi.real, lo.imag, hi.imag), 0.0
 
-        logs = [origin - 0.1 - 1.5j, origin + 0.1 + 1.5j]
-        got = denominator_log_targets(sol, log_at, [0.0, 1.0], logs, 0.0, -math.inf)
-        assert asked == [0.5]
+        got = denominator_log_targets(sol, [(0.0, 1.0)], box_of, -math.inf)
+        assert sorted(asked) == [(0.0, 0.5), (0.0, 1.0), (0.5, 1.0)]
         assert len(got) == 47
         assert set(got) == {origin + k * step for k in range(-23, 24)}
+
+    def test_a_piece_with_no_box_is_halved(self):
+        # No box on [0, 1]: its halves are asked, and the targets of theirs
+        # are listed; a piece that cannot be halved and has no box raises.
+        sol, origin, step = self.dense_lattice()
+
+        def box_of(t0, t1):
+            if t1 - t0 > 0.5:
+                return None
+            im_lo, im_hi = sorted((origin.imag, (origin + 3 * step).imag))
+            return (origin.real, origin.real, im_lo, im_hi), 0.0
+
+        assert set(denominator_log_targets(sol, [(0.0, 1.0)], box_of, -math.inf)) == {
+            origin + k * step for k in range(4)
+        }
+        with pytest.raises(ValueError, match="no bound"):
+            denominator_log_targets(sol, [(1.0, math.nextafter(1.0, 2.0))], lambda *_: None, 0.0)

@@ -38,8 +38,8 @@ from quadode import (
     solve_lifted,
     time_warp,
 )
-from quadode.canonical import eval_canonical_general, log_targets_in_box, singular_times
-from quadode import extensions
+from quadode.canonical import eval_canonical_general, realness_slack, singular_times
+from quadode import canonical, extensions
 from quadode.extensions import _WarpLog
 from conftest import ALL_EXAMPLES, EXAMPLE1, EXAMPLE2, EXAMPLE3, sample_solvable_system
 from dense_walk import (
@@ -53,6 +53,15 @@ from dense_walk import (
 
 def close(z, w, tol=1e-14):
     return abs(z - w) <= tol * max(1.0, abs(w))
+
+
+def in_box(lam, bound, t1):
+    """lam within the box of ``_WarpLog.box`` on a piece ending at t1, as
+    ``denominator_log_targets`` queries it: widened by the realness
+    tolerance carried into the log plane by the box's rate, and by 1e-9."""
+    box, rate = bound
+    pad = min(1.0, realness_slack(t1) * rate) + 1e-9
+    return box[0] - pad <= lam.real <= box[1] + pad and box[2] - pad <= lam.imag <= box[3] + pad
 
 
 class TestRescale:
@@ -650,24 +659,19 @@ class TestSmallRealRates:
         form = _WarpLog(y10, eta)
         for gap in (1e-6, 1e-8):
             t_end = form.tau_star * (1.0 - gap)
-            re_lo, re_hi, im_lo, im_hi = form.log_box(t_end)
-            log_s = walked_log(y10, eta, t_end)[1]
-            assert re_lo <= log_s.real <= re_hi and im_lo <= log_s.imag <= im_hi
+            assert in_box(walked_log(y10, eta, t_end)[1], form.box(0.0, t_end), t_end)
 
-    def test_box_agrees_with_the_walk(self, monkeypatch):
-        # real rates |eta| ~ 1e-8: the targets read off the box are those the
-        # waypoint walk bounds
+    def test_box_agrees_with_the_walk(self):
+        # real rates |eta| ~ 1e-8: the targets read off the closed-form boxes
+        # are those the dense walk bounds
         rng = random.Random(11)
-        cases = []
+        tol = ToleranceConfig()
         for _ in range(1500):
             rho = CanonicalParams(small_part(rng), small_part(rng))
             y10 = rng.uniform(0.2, 2.0) * rng.choice((1, -1))
             sol = solve_canonical(rho, CanonicalState(y10, small_part(rng)))
-            cases.append((sol, rng.uniform(0.5e-8, 2e-8) * rng.choice((1, -1))))
-        boxed = [lifted_singular_times(sol, eta, 5.0) for sol, eta in cases]
-        monkeypatch.setattr(_WarpLog, "log_box", lambda self, t_end: None)
-        walked = [lifted_singular_times(sol, eta, 5.0) for sol, eta in cases]
-        assert sum(a != b for a, b in zip(boxed, walked)) == 0
+            eta = rng.uniform(0.5e-8, 2e-8) * rng.choice((1, -1))
+            assert lifted_singular_times(sol, eta, 5.0) == walked_singular_times(sol, eta, 5.0, tol)
 
 
 class TestRatesPastTheFloatRange:
@@ -698,10 +702,23 @@ class TestRatesPastTheFloatRange:
         sol = solve_canonical(CanonicalParams(0.3, 0.2), CanonicalState(0, 1e-320))
         assert lifted_singular_times(sol, 1e-308 + 1e-308j, 1e300) == []
 
-    @pytest.mark.parametrize("eta", [1e308j, 1e300 + 1e300j, -1e300 + 1e300j])
-    def test_log_box_gives_way_to_the_walk(self, eta):
+    @pytest.mark.parametrize("eta", [1e308j, -1e300 + 1e300j])
+    def test_box_at_a_huge_rate(self, eta):
+        # y1(0)/eta ~ 1e-300: the path stays within ~1e-300 of s = 1, inside
+        # |E| = |c|, and its tube is finite however long the piece
+        form = _WarpLog(1.0, eta)
+        bound = form.box(0.0, 1e10)
+        assert all(map(math.isfinite, bound[0])) and bound[1] < 1.01  # |eta E/s| ~ |y1(0)|
+        for t in (1e-308, 3e-301, 2e-300, 0.5 if eta.real == 0 else 1e-299):
+            assert in_box(form(t), bound, 1e10)
+
+    def test_box_has_no_term_past_floating_point(self):
+        # outside |E| = |c| the tube follows eta*t, which overflows at 1e10:
         # a bound whose terms leave floating point is no bound
-        assert _WarpLog(1.0, eta).log_box(1e10) is None
+        form = _WarpLog(1.0, 1e300 + 1e300j)
+        assert 0 < form.tau_star < 1e-290
+        assert form.box(1e-290, 1e-280) is not None
+        assert form.box(1e-290, 1e10) is None
 
 
 class TestPassesOverTurns:
@@ -881,26 +898,41 @@ class TestLiftedSingularTimes:
 
     @pytest.mark.parametrize("stratum", ["real", "near-real", "imaginary", "general"])
     def test_box_holds_the_dense_walk(self, stratum):
-        # on a path that stays inside |E| = |c|, the closed-form box of log s
-        # holds every logarithm that the dense chord walk continues along it
+        # the closed-form box of log s on every piece of the path and on
+        # every half and quarter of one (inside, outside and in the window
+        # about the crossing of |E| = |c|) holds every logarithm that the
+        # dense chord walk continues along it
         rng = random.Random(f"log-box/{stratum}")
         tol = ToleranceConfig()
         checked = 0
+        kinds = set()
         for _ in range(300):
             sol, eta, t_max = lifted_case(rng, stratum)
-            box = _WarpLog(sol.y10, eta).log_box(t_max)
-            if box is None:
-                continue
-            path = dense_warp_path(sol.y10, eta, t_max)[1]
-            log_s = 0j
+            form = _WarpLog(sol.y10, eta)
+            # the enumeration reads boxes only up to the first pass, past
+            # which evaluation raises
+            t_pass = form.first_pass(t_max, tol.sing_tol)
+            band = math.log1p(tol.sing_tol / math.e / abs(form.c)) / abs(eta)
+            t_end = t_pass - band if t_pass < t_max else t_max
+            taus, path = dense_warp_path(sol.y10, eta, t_end)
+            walked = [(0.0, 0j)]
             try:
-                for a, b in zip(path, path[1:]):
-                    log_s += log_increment(a, b, tol.sing_tol)
-                    assert box[0] <= log_s.real <= box[1] and box[2] <= log_s.imag <= box[3]
+                for tau, a, b in zip(taus[1:], path, path[1:]):
+                    walked.append((tau, walked[-1][1] + log_increment(a, b, tol.sing_tol)))
             except SingularPointError:
-                continue
-            checked += 1
-        assert checked >= 30
+                continue  # the walk meets the pass
+            pieces = form.pieces(t_end)
+            for _ in range(2):
+                pieces += [h for t0, t1 in pieces for h in ((t0, (t0 + t1) / 2), ((t0 + t1) / 2, t1))]
+            for t0, t1 in pieces:
+                bound = form.box(t0, t1)
+                if bound is None:
+                    continue
+                assert all(in_box(log_s, bound, t1) for tau, log_s in walked if t0 <= tau <= t1)
+                side = eta.real * (t0 + t1) / 2 - form.ell.real  # log|E/c| midway
+                kinds.add("window" if abs(side) < math.log(2) else "outside" if side > 0 else "inside")
+                checked += 1
+        assert checked >= 1000 and kinds == {"inside", "outside", "window"}
 
     def test_no_targets_at_u_minus(self, monkeypatch):
         # u(0) = u- exactly: y2 = u- y1 has no denominator to vanish, so the
@@ -909,30 +941,25 @@ class TestLiftedSingularTimes:
         sol = solve_canonical(probe.params, CanonicalState(0.8, probe.u_minus * 0.8))
         assert sol._consts[1] == 0  # a = y2(0) - u- y1(0)
         read = []
-        monkeypatch.setattr(
-            extensions,
-            "log_targets_in_box",
-            lambda *args: read.append(log_targets_in_box(*args)) or read[-1],
-        )
+        box = _WarpLog.box
+        monkeypatch.setattr(_WarpLog, "box", lambda self, *piece: read.append(piece) or box(self, *piece))
         assert lifted_singular_times(sol, -2.0, 5.0) == []
-        assert read == [[]]
+        assert read == []  # no target, so no box of the path is read
 
     @pytest.mark.parametrize("eta", [-0.5 - 1j, -0.5 + 1j])
     def test_path_ends_at_the_first_pass(self, eta, monkeypatch):
         # a decaying path passes 1.5e-9 from 0 at t = 6: within the pole
         # test, so nothing past it is evaluated, yet too far from the real
-        # axis for a real pole; the waypoints stop at the pass instead of
-        # running on at eight per turn to t_max (~350 calls)
-        calls = []
-        curve = extensions._growth_and_warp
-        monkeypatch.setattr(
-            extensions, "_growth_and_warp", lambda eta, t: calls.append(t) or curve(eta, t)
-        )
+        # axis for a real pole; no box reaches past the pass, and the pieces
+        # that close in on it are halved a bounded number of times
+        read = []
+        box = _WarpLog.box
+        monkeypatch.setattr(_WarpLog, "box", lambda self, *piece: read.append(piece) or box(self, *piece))
         y0 = CanonicalState(near_miss(eta, 6.0, 1.5e-9), 0.2)
         sol = solve_canonical(CanonicalParams(0.3 + 0.1j, -0.4 + 0.2j), y0)
-        calls.clear()
         assert lifted_singular_times(sol, eta, 200.0) == []
-        assert len(calls) <= 60
+        assert 0 < len(read) <= 60
+        assert 5.9999999 < max(t1 for _, t1 in read) < 6.0
 
 
 class TestIsochrony:
@@ -1005,9 +1032,8 @@ class TestIsochrony:
             assert fastest < 1e-3
 
     def test_enumeration_work_per_turn(self, monkeypatch):
-        # the singular-time enumeration evaluates the warped path at a fixed
-        # number of waypoints per turn, not at a density in |eta| t
-
+        # the singular-time enumeration evaluates the warped path at most a
+        # fixed number of times per turn, not at a density in |eta| t
         calls = []
         curve = extensions._growth_and_warp
         monkeypatch.setattr(
@@ -1041,9 +1067,51 @@ class TestIsochrony:
             calls.clear()
             traj = solve_lifted(lifted, z0, t_max=n * period)
             assert not traj.t_singular
-            assert traj._warp.log_box(n * period) is not None  # the path is inside
+            assert not traj._warp.outside and traj._warp.box(0.0, n * period) is not None
             counts.append(len(calls))
         assert len(set(counts)) == 1 and counts[0] <= 4
+
+    @staticmethod
+    def spiral(eta):
+        """The two-turn orbit's z(0) lifted with rate eta."""
+        lifted, z0 = TestIsochrony.two_turn_orbit()
+        return lift(EXAMPLE3, LiftParams(zbar=lifted.zbar, eta=eta)), z0
+
+    @pytest.mark.parametrize(
+        "eta, horizons",
+        [(1j, (1e2, 1e8)), (1e-3 + 1j, (1e4, 5e5)), (-1e-3 + 1j, (1e4, 5e5))],
+        ids=["winding", "growing", "crossing"],
+    )
+    def test_work_does_not_grow_with_the_horizon(self, eta, horizons, monkeypatch):
+        # winding outside |E| = |c|; a spiral outside from the start; a
+        # spiral that crosses |E| = |c| at tau* ~ 1609.  None has a singular
+        # time, and the boxes read and the lattice indices tried are the same
+        # at both horizons (a walk took 197 and 206903 waypoints for eta = i
+        # at 1e2 and 1e5, and 14612 and 638594 across the crossing)
+        reads, tried = [], []
+        box, indices = _WarpLog.box, canonical.lattice_indices
+
+        def counted(*args):
+            ks = indices(*args)
+            tried.append(len(ks))
+            return ks
+
+        monkeypatch.setattr(_WarpLog, "box", lambda self, *piece: reads.append(piece) or box(self, *piece))
+        monkeypatch.setattr(canonical, "lattice_indices", counted)
+        counts = []
+        for t_max in horizons:
+            reads.clear()
+            tried.clear()
+            assert solve_lifted(*self.spiral(eta), t_max=t_max).t_singular == ()
+            counts.append((len(reads), sum(tried)))
+        assert counts[0] == counts[1]
+        assert counts[0][0] <= (1 if eta.real >= 0 else 100)
+
+    @pytest.mark.parametrize("eta", [1j, 1e-3 + 1j, -1e-3 + 1j], ids=["winding", "growing", "crossing"])
+    def test_spirals_match_the_dense_walk(self, eta):
+        tol = ToleranceConfig()
+        sol = solve_lifted(*self.spiral(eta), t_max=1.0).canonical
+        assert lifted_singular_times(sol, eta, 2e3, tol) == walked_singular_times(sol, eta, 2e3, tol) == []
 
     @staticmethod
     def two_turn_orbit():

@@ -118,7 +118,7 @@ def test_lifted_evaluator(kind):
             for t in (0.3, 0.5, 1.5):
                 # as eval_lifted forms them: None where the path is principal
                 warp = time_warp(ETA, t)
-                log_s = _WarpLog(sol.y10, ETA).point(t, 1e-9) if sol.y10 else None
+                log_s = _WarpLog(sol.y10, ETA).point(t, 1e-9)[2] if sol.y10 else None
                 got = eval_canonical_general(sol, t, warp, log_s)
                 path = [time_warp(ETA, t * j / 64) for j in range(1, 64)] + [warp]
                 assert error(got, reference(sol, warp, path)) <= TOL, (sol, t)
